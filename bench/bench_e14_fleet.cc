@@ -11,6 +11,8 @@
 // The assignment is part of the pure plan function, so both policies
 // stay zero-coordination: every worker recomputes the same partition
 // from the same coordinates.
+// BM_PartialDecode times the coordinator's other fleet cost: decoding the
+// shard partials a 64-shard E1 clique-4 job streams back.
 // Two live-fleet scenarios ride along (printed before the benchmark
 // table): a SLEEPING STRAGGLER worker, where mid-job shard stealing must
 // beat the no-steal makespan by well over 1.5x, and a REPEATED JOB, where
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "gdatalog/export.h"
 #include "gdatalog/shard.h"
 #include "server/http.h"
 #include "server/service.h"
@@ -295,6 +298,40 @@ void BM_Fleet_WorstShard(benchmark::State& state) {
   state.SetLabel(gdlog::ShardAssignmentName(assignment));
 }
 BENCHMARK(BM_Fleet_WorstShard)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// Coordinator-side decode cost: all 64 shard partial lines of E1
+/// clique-4, as workers stream them to a /v1/jobs coordinator, through
+/// PartialSpaceFromJson once per iteration.
+void BM_PartialDecode(benchmark::State& state) {
+  constexpr size_t kDecodeShards = 64;
+  auto engine = MustCreate(kNetworkProgram, Clique(4));
+  gdlog::ChaseOptions options;
+  auto plan = engine.chase().PlanShards(options, kDecodeShards);
+  if (!plan.ok()) std::abort();
+  const gdlog::Interner& interner = *engine.program().interner();
+  std::vector<std::string> lines;
+  size_t bytes = 0;
+  for (size_t shard = 0; shard < plan->num_shards; ++shard) {
+    auto partial = engine.chase().ExploreShard(*plan, shard, options);
+    if (!partial.ok()) std::abort();
+    lines.push_back(gdlog::PartialSpaceToJson(
+        *partial, gdlog::MakeShardPartialMeta(*plan, shard, options),
+        &interner));
+    bytes += lines.back().size();
+  }
+  for (auto _ : state) {
+    for (const std::string& line : lines) {
+      gdlog::ShardPartialMeta meta;
+      auto partial = gdlog::PartialSpaceFromJson(line, interner, &meta);
+      if (!partial.ok()) std::abort();
+      benchmark::DoNotOptimize(partial->outcomes);
+    }
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+  state.counters["lines"] = static_cast<double>(lines.size());
+}
+BENCHMARK(BM_PartialDecode)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

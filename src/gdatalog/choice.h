@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "ground/fact_store.h"
 #include "util/prob.h"
@@ -21,8 +22,8 @@ class ChoiceSet {
   /// Records the choice "active → outcome". Returns false iff the active
   /// atom already carries a *different* outcome (functional inconsistency);
   /// re-recording the same pair is a no-op returning true.
-  bool Assign(const GroundAtom& active, const Value& outcome) {
-    auto [it, inserted] = choices_.emplace(active, outcome);
+  bool Assign(GroundAtom active, const Value& outcome) {
+    auto [it, inserted] = choices_.try_emplace(std::move(active), outcome);
     if (inserted) return true;
     return it->second == outcome;
   }

@@ -3,7 +3,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -93,132 +96,6 @@ void WriteChoices(JsonWriter& json, const ChoiceSet& choices,
     json.EndObject();
   }
   json.EndArray();
-}
-
-Status FieldError(const std::string& what) {
-  return Status::InvalidArgument("partial space: " + what);
-}
-
-Result<size_t> ReadSize(const JsonValue& obj, std::string_view key) {
-  const JsonValue* field = obj.Find(key);
-  if (field == nullptr || !field->is_number()) {
-    return FieldError("missing numeric field '" + std::string(key) + "'");
-  }
-  GDLOG_ASSIGN_OR_RETURN(long long value, field->NumberAsInt());
-  if (value < 0) return FieldError("negative '" + std::string(key) + "'");
-  return static_cast<size_t>(value);
-}
-
-/// Parses a full hex-float (or decimal) double; rejects trailing garbage.
-Result<double> ParseDouble(const std::string& text) {
-  if (text.empty()) return FieldError("empty floating-point literal");
-  char* end = nullptr;
-  double d = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) {
-    return FieldError("malformed floating-point literal '" + text + "'");
-  }
-  return d;
-}
-
-Result<Prob> ReadProb(const JsonValue& value) {
-  if (!value.is_object()) return FieldError("malformed probability");
-  if (const JsonValue* hex = value.Find("x"); hex != nullptr) {
-    if (!hex->is_string()) return FieldError("malformed inexact mass");
-    GDLOG_ASSIGN_OR_RETURN(double d, ParseDouble(hex->string_value()));
-    // A corrupt partial must not smuggle in an out-of-range "probability"
-    // that silently skews the merged masses.
-    if (!(d >= 0.0) || !(d <= 1.0)) {
-      return FieldError("mass outside [0, 1]: " + hex->string_value());
-    }
-    return Prob(Rational::Approx(d));
-  }
-  const JsonValue* num = value.Find("n");
-  const JsonValue* den = value.Find("d");
-  if (num == nullptr || den == nullptr || !num->is_number() ||
-      !den->is_number()) {
-    return FieldError("malformed rational mass");
-  }
-  GDLOG_ASSIGN_OR_RETURN(long long n, num->NumberAsInt());
-  GDLOG_ASSIGN_OR_RETURN(long long d, den->NumberAsInt());
-  if (d <= 0) return FieldError("non-positive denominator");
-  if (n < 0 || n > d) return FieldError("rational mass outside [0, 1]");
-  return Prob(Rational(n, d));
-}
-
-Result<Value> ReadValue(const JsonValue& value, const Interner& interner) {
-  const JsonValue* tag = value.is_object() ? value.Find("t") : nullptr;
-  const JsonValue* payload = value.is_object() ? value.Find("v") : nullptr;
-  if (tag == nullptr || payload == nullptr || !tag->is_string()) {
-    return FieldError("malformed constant");
-  }
-  const std::string& t = tag->string_value();
-  if (t == "b") {
-    if (!payload->is_bool()) return FieldError("malformed bool constant");
-    return Value::Bool(payload->bool_value());
-  }
-  if (t == "i") {
-    if (!payload->is_number()) return FieldError("malformed int constant");
-    GDLOG_ASSIGN_OR_RETURN(long long i, payload->NumberAsInt());
-    return Value::Int(i);
-  }
-  if (t == "d") {
-    if (!payload->is_string()) return FieldError("malformed double constant");
-    GDLOG_ASSIGN_OR_RETURN(double d, ParseDouble(payload->string_value()));
-    return Value::Double(d);
-  }
-  if (t == "s") {
-    if (!payload->is_string()) return FieldError("malformed symbol constant");
-    uint32_t id = interner.Lookup(payload->string_value());
-    if (id == Interner::kNotFound) {
-      return FieldError("unknown symbol '" + payload->string_value() +
-                        "' (partial produced by a different program?)");
-    }
-    return Value::Symbol(id);
-  }
-  return FieldError("unknown constant tag '" + t + "'");
-}
-
-Result<GroundAtom> ReadAtom(const JsonValue& value,
-                            const Interner& interner) {
-  const JsonValue* pred = value.is_object() ? value.Find("p") : nullptr;
-  const JsonValue* args = value.is_object() ? value.Find("a") : nullptr;
-  if (pred == nullptr || args == nullptr || !pred->is_string() ||
-      !args->is_array()) {
-    return FieldError("malformed atom");
-  }
-  GroundAtom atom;
-  atom.predicate = interner.Lookup(pred->string_value());
-  if (atom.predicate == Interner::kNotFound) {
-    return FieldError("unknown predicate '" + pred->string_value() +
-                      "' (partial produced by a different program?)");
-  }
-  atom.args.reserve(args->array().size());
-  for (const JsonValue& arg : args->array()) {
-    GDLOG_ASSIGN_OR_RETURN(Value v, ReadValue(arg, interner));
-    atom.args.push_back(v);
-  }
-  return atom;
-}
-
-Result<ChoiceSet> ReadChoices(const JsonValue& value,
-                              const Interner& interner) {
-  if (!value.is_array()) return FieldError("malformed choice set");
-  ChoiceSet choices;
-  for (const JsonValue& entry : value.array()) {
-    const JsonValue* active = entry.is_object() ? entry.Find("active")
-                                                : nullptr;
-    const JsonValue* outcome = entry.is_object() ? entry.Find("outcome")
-                                                 : nullptr;
-    if (active == nullptr || outcome == nullptr) {
-      return FieldError("malformed choice entry");
-    }
-    GDLOG_ASSIGN_OR_RETURN(GroundAtom atom, ReadAtom(*active, interner));
-    GDLOG_ASSIGN_OR_RETURN(Value v, ReadValue(*outcome, interner));
-    if (!choices.Assign(atom, v)) {
-      return FieldError("functionally inconsistent serialized choice set");
-    }
-  }
-  return choices;
 }
 
 }  // namespace
@@ -353,27 +230,435 @@ std::string PartialSpaceToJson(const PartialSpace& partial,
   return json.str();
 }
 
-Result<PartialSpace> PartialSpaceFromJson(std::string_view json_text,
-                                          const Interner& interner,
-                                          ShardPartialMeta* meta) {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Single-pass partial decoding: the gdlog.partial.v1 grammar read straight
+// off a JsonReader into PartialSpace / ShardPartialMeta, with no document
+// tree and no per-key strings. Members may come in any order; unknown
+// members are skipped (after full JSON validation); the first of duplicate
+// keys wins and later copies are skipped. Every field is checked before it
+// is trusted: a partial crosses a process boundary.
+// ---------------------------------------------------------------------------
+
+using Kind = JsonReader::Kind;
+
+Status FieldError(const std::string& what) {
+  return Status::InvalidArgument("partial space: " + what);
+}
+
+/// A scalar held until the member that says how to read it arrives (a
+/// constant's payload before its tag). Containers and null keep only
+/// their kind: no tag accepts them.
+struct Scalar {
+  Kind kind = Kind::kNull;
+  bool boolean = false;
+  std::string_view text;  ///< string contents or number text
+};
+
+/// Top-level members, indexing kTopMembers.
+enum TopMember : size_t {
+  kFormat, kNumShards, kShardIndex, kPrefixDepth, kAssignment,
+  kMaxOutcomes, kMaxDepth, kSupportLimit, kSeed, kMinPathProb,
+  kBudgetHit, kDepthTruncated, kPruned, kOutcomes, kTruncations,
+  kNumTopMembers,
+};
+constexpr std::string_view kTopMembers[kNumTopMembers] = {
+    "format",        "num_shards",   "shard_index",
+    "prefix_depth",  "assignment",   "max_outcomes",
+    "max_depth",     "support_limit", "trigger_shuffle_seed",
+    "min_path_prob", "budget_hit",   "depth_truncated_paths",
+    "pruned_paths",  "outcomes",     "truncations",
+};
+
+/// True the first time it sees `seen` unset: the first of duplicate keys
+/// is read, later copies are skipped.
+bool Once(bool& seen) { return !std::exchange(seen, true); }
+
+class PartialDecoder {
+ public:
+  PartialDecoder(std::string_view text, const Interner& interner)
+      : reader_(text, TrustedStrings()), interner_(interner) {}
+
+  Result<PartialSpace> Decode(ShardPartialMeta* meta);
+
+ private:
   // Partials come from a JsonWriter in a sibling worker process, which
   // copies symbol-name bytes verbatim — and the surface lexer admits
   // arbitrary bytes in string constants — so strings here must read back
   // exactly as written rather than pass the untrusted-wire UTF-8 checks.
-  JsonParseOptions parse_options;
-  parse_options.strict_strings = false;
-  GDLOG_ASSIGN_OR_RETURN(JsonValue doc,
-                         JsonValue::Parse(json_text, parse_options));
-  if (!doc.is_object()) return FieldError("document is not an object");
-  const JsonValue* format = doc.Find("format");
-  if (format == nullptr || !format->is_string() ||
-      format->string_value() != kPartialFormat) {
-    return FieldError(std::string("expected format '") + kPartialFormat +
-                      "'");
+  static JsonParseOptions TrustedStrings() {
+    JsonParseOptions options;
+    options.strict_strings = false;
+    return options;
   }
-  GDLOG_ASSIGN_OR_RETURN(meta->num_shards, ReadSize(doc, "num_shards"));
-  GDLOG_ASSIGN_OR_RETURN(meta->shard_index, ReadSize(doc, "shard_index"));
-  GDLOG_ASSIGN_OR_RETURN(meta->prefix_depth, ReadSize(doc, "prefix_depth"));
+
+  /// `read`'s status, a failure reported as a malformed `what`.
+  static Status In(const char* what, Status read) {
+    if (read.ok()) return read;
+    return FieldError(std::string(what) + " (" + read.message() + ")");
+  }
+
+  /// Runs on_member(key) for each member of the object that is the next
+  /// value; on_member must consume the member's value.
+  template <typename F>
+  Status Members(const char* what, F&& on_member) {
+    GDLOG_RETURN_IF_ERROR(In(what, reader_.BeginObject()));
+    std::string_view key;
+    for (;;) {
+      GDLOG_ASSIGN_OR_RETURN(bool more, reader_.NextMember(&key));
+      if (!more) return Status::OK();
+      GDLOG_RETURN_IF_ERROR(on_member(key));
+    }
+  }
+
+  /// Runs on_element() for each element of the array that is the next
+  /// value; on_element must consume the element.
+  template <typename F>
+  Status Elements(const char* what, F&& on_element) {
+    GDLOG_RETURN_IF_ERROR(In(what, reader_.BeginArray()));
+    for (;;) {
+      GDLOG_ASSIGN_OR_RETURN(bool more, reader_.NextElement());
+      if (!more) return Status::OK();
+      GDLOG_RETURN_IF_ERROR(on_element());
+    }
+  }
+
+  Status ReadString(const char* what, std::string_view* out) {
+    return In(what, reader_.ReadString(out));
+  }
+
+  Status ReadScalar(Scalar* out);
+  Status ReadSize(std::string_view name, size_t* out);
+  /// Parses a full hex-float (or decimal) double; rejects trailing garbage.
+  Result<double> ParseDouble(std::string_view text);
+  Status ReadProb(Prob* out);
+  Status ConstantFromScalar(char tag, const Scalar& payload, Value* out);
+  Status ReadConstant(Value* out);
+  Status ReadAtom(GroundAtom* out);
+  Status ReadChoices(ChoiceSet* out);
+  Status ReadOutcome(PossibleOutcome* out);
+  Status ReadTruncation(std::pair<ChoiceSet, Prob>* out);
+
+  JsonReader reader_;
+  const Interner& interner_;
+  /// Growth buffers reused across atoms and models, so each decoded
+  /// vector is allocated once at its final size.
+  Tuple args_;
+  StableModel model_;
+  /// A constant's payload string read before its tag.
+  std::string held_;
+  /// NUL-terminated copies for strtod / strtoull.
+  std::string cstr_;
+};
+
+Status PartialDecoder::ReadScalar(Scalar* out) {
+  GDLOG_ASSIGN_OR_RETURN(out->kind, reader_.Peek());
+  switch (out->kind) {
+    case Kind::kString: return reader_.ReadString(&out->text);
+    case Kind::kNumber: return reader_.ReadNumber(&out->text);
+    case Kind::kBool: return reader_.ReadBool(&out->boolean);
+    default: return reader_.SkipValue();
+  }
+}
+
+Status PartialDecoder::ReadSize(std::string_view name, size_t* out) {
+  Scalar number;
+  GDLOG_RETURN_IF_ERROR(ReadScalar(&number));
+  if (number.kind != Kind::kNumber) {
+    return FieldError("missing numeric field '" + std::string(name) + "'");
+  }
+  GDLOG_ASSIGN_OR_RETURN(long long value, JsonNumberToInt(number.text));
+  if (value < 0) return FieldError("negative '" + std::string(name) + "'");
+  *out = static_cast<size_t>(value);
+  return Status::OK();
+}
+
+Result<double> PartialDecoder::ParseDouble(std::string_view text) {
+  if (text.empty()) return FieldError("empty floating-point literal");
+  cstr_.assign(text);
+  char* end = nullptr;
+  double d = std::strtod(cstr_.c_str(), &end);
+  if (end != cstr_.c_str() + cstr_.size()) {
+    return FieldError("malformed floating-point literal '" + cstr_ + "'");
+  }
+  return d;
+}
+
+Status PartialDecoder::ReadProb(Prob* out) {
+  // An inexact mass ("x") takes precedence; "n"/"d" are then ignored.
+  bool has_x = false, has_n = false, has_d = false;
+  double x = 0.0;
+  Scalar num, den;  // number text: views into the input
+  GDLOG_RETURN_IF_ERROR(Members("malformed probability", [&](auto key) {
+    if (key == "x" && Once(has_x)) {
+      std::string_view text;
+      GDLOG_RETURN_IF_ERROR(ReadString("malformed inexact mass", &text));
+      GDLOG_ASSIGN_OR_RETURN(x, ParseDouble(text));
+      // A corrupt partial must not smuggle in an out-of-range
+      // "probability" that silently skews the merged masses.
+      if (!(x >= 0.0) || !(x <= 1.0)) {
+        return FieldError("mass outside [0, 1]: " + std::string(text));
+      }
+      return Status::OK();
+    }
+    if (key == "n" && Once(has_n)) return ReadScalar(&num);
+    if (key == "d" && Once(has_d)) return ReadScalar(&den);
+    return reader_.SkipValue();
+  }));
+  if (has_x) {
+    *out = Prob(Rational::Approx(x));
+    return Status::OK();
+  }
+  if (num.kind != Kind::kNumber || den.kind != Kind::kNumber) {
+    return FieldError("malformed rational mass");
+  }
+  GDLOG_ASSIGN_OR_RETURN(long long n, JsonNumberToInt(num.text));
+  GDLOG_ASSIGN_OR_RETURN(long long d, JsonNumberToInt(den.text));
+  if (d <= 0) return FieldError("non-positive denominator");
+  if (n < 0 || n > d) return FieldError("rational mass outside [0, 1]");
+  *out = Prob(Rational(n, d));
+  return Status::OK();
+}
+
+Status PartialDecoder::ConstantFromScalar(char tag, const Scalar& payload,
+                                          Value* out) {
+  switch (tag) {
+    case 'b':
+      if (payload.kind != Kind::kBool) {
+        return FieldError("malformed bool constant");
+      }
+      *out = Value::Bool(payload.boolean);
+      return Status::OK();
+    case 'i': {
+      if (payload.kind != Kind::kNumber) {
+        return FieldError("malformed int constant");
+      }
+      GDLOG_ASSIGN_OR_RETURN(long long i, JsonNumberToInt(payload.text));
+      *out = Value::Int(i);
+      return Status::OK();
+    }
+    case 'd': {
+      if (payload.kind != Kind::kString) {
+        return FieldError("malformed double constant");
+      }
+      GDLOG_ASSIGN_OR_RETURN(double d, ParseDouble(payload.text));
+      *out = Value::Double(d);
+      return Status::OK();
+    }
+    default: {  // 's'
+      if (payload.kind != Kind::kString) {
+        return FieldError("malformed symbol constant");
+      }
+      uint32_t id = interner_.Lookup(payload.text);
+      if (id == Interner::kNotFound) {
+        return FieldError("unknown symbol '" + std::string(payload.text) +
+                          "' (partial produced by a different program?)");
+      }
+      *out = Value::Symbol(id);
+      return Status::OK();
+    }
+  }
+}
+
+Status PartialDecoder::ReadConstant(Value* out) {
+  char tag = 0;  // 0 until "t" is read
+  bool has_payload = false, held = false;
+  Scalar payload;
+  GDLOG_RETURN_IF_ERROR(Members("malformed constant", [&](auto key) {
+    if (key == "t" && tag == 0) {
+      std::string_view text;
+      GDLOG_RETURN_IF_ERROR(ReadString("malformed constant", &text));
+      if (text != "b" && text != "i" && text != "d" && text != "s") {
+        return FieldError("unknown constant tag '" + std::string(text) + "'");
+      }
+      tag = text[0];
+      return Status::OK();
+    }
+    if (key != "v" || !Once(has_payload)) return reader_.SkipValue();
+    GDLOG_RETURN_IF_ERROR(ReadScalar(&payload));
+    // The writer puts the tag first; otherwise hold the payload (a string
+    // must outlive the reader's scratch buffer) until the tag arrives.
+    if (tag != 0) return ConstantFromScalar(tag, payload, out);
+    held = true;
+    if (payload.kind == Kind::kString) {
+      held_.assign(payload.text);
+      payload.text = held_;
+    }
+    return Status::OK();
+  }));
+  if (tag == 0 || !has_payload) return FieldError("malformed constant");
+  return held ? ConstantFromScalar(tag, payload, out) : Status::OK();
+}
+
+Status PartialDecoder::ReadAtom(GroundAtom* out) {
+  bool has_pred = false, has_args = false;
+  GDLOG_RETURN_IF_ERROR(Members("malformed atom", [&](auto key) {
+    if (key == "p" && Once(has_pred)) {
+      std::string_view name;
+      GDLOG_RETURN_IF_ERROR(ReadString("malformed atom", &name));
+      out->predicate = interner_.Lookup(name);
+      if (out->predicate == Interner::kNotFound) {
+        return FieldError("unknown predicate '" + std::string(name) +
+                          "' (partial produced by a different program?)");
+      }
+      return Status::OK();
+    }
+    if (key == "a" && Once(has_args)) {
+      args_.clear();
+      GDLOG_RETURN_IF_ERROR(Elements("malformed atom", [&] {
+        args_.emplace_back();
+        return ReadConstant(&args_.back());
+      }));
+      out->args.assign(args_.begin(), args_.end());
+      return Status::OK();
+    }
+    return reader_.SkipValue();
+  }));
+  if (!has_pred || !has_args) return FieldError("malformed atom");
+  return Status::OK();
+}
+
+Status PartialDecoder::ReadChoices(ChoiceSet* out) {
+  return Elements("malformed choice set", [&] {
+    GroundAtom active;
+    Value outcome;
+    bool has_active = false, has_outcome = false;
+    GDLOG_RETURN_IF_ERROR(Members("malformed choice entry", [&](auto key) {
+      if (key == "active" && Once(has_active)) return ReadAtom(&active);
+      if (key == "outcome" && Once(has_outcome)) {
+        return ReadConstant(&outcome);
+      }
+      return reader_.SkipValue();
+    }));
+    if (!has_active || !has_outcome) {
+      return FieldError("malformed choice entry");
+    }
+    if (!out->Assign(std::move(active), outcome)) {
+      return FieldError("functionally inconsistent serialized choice set");
+    }
+    return Status::OK();
+  });
+}
+
+Status PartialDecoder::ReadOutcome(PossibleOutcome* out) {
+  bool has_prob = false, has_choices = false, has_models = false;
+  auto read_model = [&] {
+    model_.clear();
+    GDLOG_RETURN_IF_ERROR(Elements("malformed model", [&] {
+      model_.emplace_back();
+      return ReadAtom(&model_.back());
+    }));
+    out->models.emplace(std::make_move_iterator(model_.begin()),
+                        std::make_move_iterator(model_.end()));
+    return Status::OK();
+  };
+  GDLOG_RETURN_IF_ERROR(Members("malformed outcome", [&](auto key) {
+    if (key == "prob" && Once(has_prob)) return ReadProb(&out->prob);
+    if (key == "choices" && Once(has_choices)) {
+      return ReadChoices(&out->choices);
+    }
+    if (key == "models" && Once(has_models)) {
+      return Elements("malformed outcome", read_model);
+    }
+    return reader_.SkipValue();
+  }));
+  if (!has_prob || !has_choices || !has_models) {
+    return FieldError("malformed outcome");
+  }
+  return Status::OK();
+}
+
+Status PartialDecoder::ReadTruncation(std::pair<ChoiceSet, Prob>* out) {
+  bool has_choices = false, has_mass = false;
+  GDLOG_RETURN_IF_ERROR(Members("malformed truncation", [&](auto key) {
+    if (key == "choices" && Once(has_choices)) {
+      return ReadChoices(&out->first);
+    }
+    if (key == "mass" && Once(has_mass)) return ReadProb(&out->second);
+    return reader_.SkipValue();
+  }));
+  if (!has_choices || !has_mass) return FieldError("malformed truncation");
+  return Status::OK();
+}
+
+Result<PartialSpace> PartialDecoder::Decode(ShardPartialMeta* meta) {
+  PartialSpace partial;
+  bool seen[kNumTopMembers] = {};
+  GDLOG_RETURN_IF_ERROR(Members("document is not an object", [&](auto key) {
+    size_t member = 0;
+    while (member < kNumTopMembers && kTopMembers[member] != key) ++member;
+    if (member == kNumTopMembers || !Once(seen[member])) {
+      return reader_.SkipValue();
+    }
+    const std::string_view name = kTopMembers[member];
+    std::string_view text;
+    switch (static_cast<TopMember>(member)) {
+      case kFormat: {
+        Scalar format;
+        GDLOG_RETURN_IF_ERROR(ReadScalar(&format));
+        if (format.kind != Kind::kString || format.text != kPartialFormat) {
+          return FieldError(std::string("expected format '") +
+                            kPartialFormat + "'");
+        }
+        return Status::OK();
+      }
+      case kNumShards: return ReadSize(name, &meta->num_shards);
+      case kShardIndex: return ReadSize(name, &meta->shard_index);
+      case kPrefixDepth: return ReadSize(name, &meta->prefix_depth);
+      case kAssignment: {
+        GDLOG_RETURN_IF_ERROR(ReadString("missing 'assignment'", &text));
+        auto parsed = ParseShardAssignment(text);
+        if (!parsed.ok()) return FieldError("malformed 'assignment'");
+        meta->assignment = *parsed;
+        return Status::OK();
+      }
+      case kMaxOutcomes: return ReadSize(name, &meta->max_outcomes);
+      case kMaxDepth: return ReadSize(name, &meta->max_depth);
+      case kSupportLimit: return ReadSize(name, &meta->support_limit);
+      case kSeed: {  // a full uint64, hence a string
+        GDLOG_RETURN_IF_ERROR(
+            ReadString("missing 'trigger_shuffle_seed'", &text));
+        cstr_.assign(text);
+        errno = 0;
+        char* end = nullptr;
+        meta->trigger_shuffle_seed = std::strtoull(cstr_.c_str(), &end, 10);
+        if (errno == ERANGE || cstr_.empty() ||
+            end != cstr_.c_str() + cstr_.size()) {
+          return FieldError("malformed 'trigger_shuffle_seed'");
+        }
+        return Status::OK();
+      }
+      case kMinPathProb: {
+        GDLOG_RETURN_IF_ERROR(ReadString("missing 'min_path_prob'", &text));
+        GDLOG_ASSIGN_OR_RETURN(meta->min_path_prob, ParseDouble(text));
+        return Status::OK();
+      }
+      case kBudgetHit:
+        return In("missing 'budget_hit'",
+                  reader_.ReadBool(&partial.budget_hit));
+      case kDepthTruncated:
+        return ReadSize(name, &partial.depth_truncated_paths);
+      case kPruned: return ReadSize(name, &partial.pruned_paths);
+      case kOutcomes:
+        return Elements("missing 'outcomes'", [&] {
+          partial.outcomes.emplace_back();
+          return ReadOutcome(&partial.outcomes.back());
+        });
+      default:  // kTruncations
+        return Elements("missing 'truncations'", [&] {
+          partial.truncations.emplace_back();
+          return ReadTruncation(&partial.truncations.back());
+        });
+    }
+  }));
+  GDLOG_RETURN_IF_ERROR(reader_.Finish());
+  for (size_t member = 0; member < kNumTopMembers; ++member) {
+    if (!seen[member]) {
+      return FieldError("missing '" + std::string(kTopMembers[member]) +
+                        "'");
+    }
+  }
   // Mergers size per-shard bookkeeping by num_shards; an absurd value from
   // a corrupt file must fail here, not as an allocation crash downstream.
   constexpr size_t kMaxShards = size_t{1} << 20;
@@ -381,97 +666,15 @@ Result<PartialSpace> PartialSpaceFromJson(std::string_view json_text,
       meta->shard_index >= meta->num_shards) {
     return FieldError("shard coordinates out of range");
   }
-  const JsonValue* assignment = doc.Find("assignment");
-  if (assignment == nullptr || !assignment->is_string()) {
-    return FieldError("missing 'assignment'");
-  }
-  {
-    auto parsed = ParseShardAssignment(assignment->string_value());
-    if (!parsed.ok()) return FieldError("malformed 'assignment'");
-    meta->assignment = *parsed;
-  }
-  GDLOG_ASSIGN_OR_RETURN(meta->max_outcomes, ReadSize(doc, "max_outcomes"));
-  GDLOG_ASSIGN_OR_RETURN(meta->max_depth, ReadSize(doc, "max_depth"));
-  GDLOG_ASSIGN_OR_RETURN(meta->support_limit, ReadSize(doc, "support_limit"));
-  const JsonValue* seed = doc.Find("trigger_shuffle_seed");
-  if (seed == nullptr || !seed->is_string()) {
-    return FieldError("missing 'trigger_shuffle_seed'");
-  }
-  {
-    const std::string& text = seed->string_value();
-    errno = 0;
-    char* end = nullptr;
-    meta->trigger_shuffle_seed = std::strtoull(text.c_str(), &end, 10);
-    if (errno == ERANGE || text.empty() ||
-        end != text.c_str() + text.size()) {
-      return FieldError("malformed 'trigger_shuffle_seed'");
-    }
-  }
-  const JsonValue* min_prob = doc.Find("min_path_prob");
-  if (min_prob == nullptr || !min_prob->is_string()) {
-    return FieldError("missing 'min_path_prob'");
-  }
-  GDLOG_ASSIGN_OR_RETURN(meta->min_path_prob,
-                         ParseDouble(min_prob->string_value()));
-
-  PartialSpace partial;
-  const JsonValue* budget = doc.Find("budget_hit");
-  if (budget == nullptr || !budget->is_bool()) {
-    return FieldError("missing 'budget_hit'");
-  }
-  partial.budget_hit = budget->bool_value();
-  GDLOG_ASSIGN_OR_RETURN(partial.depth_truncated_paths,
-                         ReadSize(doc, "depth_truncated_paths"));
-  GDLOG_ASSIGN_OR_RETURN(partial.pruned_paths, ReadSize(doc, "pruned_paths"));
-
-  const JsonValue* outcomes = doc.Find("outcomes");
-  if (outcomes == nullptr || !outcomes->is_array()) {
-    return FieldError("missing 'outcomes'");
-  }
-  partial.outcomes.reserve(outcomes->array().size());
-  for (const JsonValue& entry : outcomes->array()) {
-    if (!entry.is_object()) return FieldError("malformed outcome");
-    const JsonValue* prob = entry.Find("prob");
-    const JsonValue* choices = entry.Find("choices");
-    const JsonValue* models = entry.Find("models");
-    if (prob == nullptr || choices == nullptr || models == nullptr ||
-        !models->is_array()) {
-      return FieldError("malformed outcome");
-    }
-    PossibleOutcome outcome;
-    GDLOG_ASSIGN_OR_RETURN(outcome.prob, ReadProb(*prob));
-    GDLOG_ASSIGN_OR_RETURN(outcome.choices, ReadChoices(*choices, interner));
-    for (const JsonValue& model_entry : models->array()) {
-      if (!model_entry.is_array()) return FieldError("malformed model");
-      StableModel model;
-      model.reserve(model_entry.array().size());
-      for (const JsonValue& atom_entry : model_entry.array()) {
-        GDLOG_ASSIGN_OR_RETURN(GroundAtom atom,
-                               ReadAtom(atom_entry, interner));
-        model.push_back(std::move(atom));
-      }
-      outcome.models.insert(std::move(model));
-    }
-    partial.outcomes.push_back(std::move(outcome));
-  }
-
-  const JsonValue* truncations = doc.Find("truncations");
-  if (truncations == nullptr || !truncations->is_array()) {
-    return FieldError("missing 'truncations'");
-  }
-  partial.truncations.reserve(truncations->array().size());
-  for (const JsonValue& entry : truncations->array()) {
-    if (!entry.is_object()) return FieldError("malformed truncation");
-    const JsonValue* choices = entry.Find("choices");
-    const JsonValue* mass = entry.Find("mass");
-    if (choices == nullptr || mass == nullptr) {
-      return FieldError("malformed truncation");
-    }
-    GDLOG_ASSIGN_OR_RETURN(ChoiceSet cs, ReadChoices(*choices, interner));
-    GDLOG_ASSIGN_OR_RETURN(Prob tail, ReadProb(*mass));
-    partial.truncations.emplace_back(std::move(cs), tail);
-  }
   return partial;
+}
+
+}  // namespace
+
+Result<PartialSpace> PartialSpaceFromJson(std::string_view json_text,
+                                          const Interner& interner,
+                                          ShardPartialMeta* meta) {
+  return PartialDecoder(json_text, interner).Decode(meta);
 }
 
 }  // namespace gdlog

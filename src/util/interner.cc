@@ -5,16 +5,16 @@
 namespace gdlog {
 
 uint32_t Interner::Intern(std::string_view s) {
-  auto it = index_.find(std::string(s));
+  auto it = index_.find(s);
   if (it != index_.end()) return it->second;
   uint32_t id = static_cast<uint32_t>(strings_.size());
   strings_.emplace_back(s);
-  index_.emplace(strings_.back(), id);
+  index_.emplace(std::string_view(strings_.back()), id);
   return id;
 }
 
 uint32_t Interner::Lookup(std::string_view s) const {
-  auto it = index_.find(std::string(s));
+  auto it = index_.find(s);
   if (it == index_.end()) return kNotFound;
   return it->second;
 }

@@ -2,11 +2,11 @@
 #define GDLOG_UTIL_INTERNER_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace gdlog {
 
@@ -35,17 +35,20 @@ class Interner {
   /// A deep copy with identical id assignment (copying is otherwise deleted
   /// so shared name tables are never duplicated by accident). The server
   /// uses this to give a database-swapped engine its own mutable name table
-  /// whose existing ids agree with the original's.
+  /// whose existing ids agree with the original's. The copy's index views
+  /// its own strings, so it outlives the original.
   std::shared_ptr<Interner> Clone() const {
     auto copy = std::make_shared<Interner>();
-    copy->index_ = index_;
-    copy->strings_ = strings_;
+    copy->index_.reserve(index_.size());
+    for (const std::string& s : strings_) copy->Intern(s);
     return copy;
   }
 
  private:
-  std::unordered_map<std::string, uint32_t> index_;
-  std::vector<std::string> strings_;
+  /// Names by id. A deque never relocates its elements, so the index can
+  /// key on views into them and Lookup never builds a std::string.
+  std::deque<std::string> strings_;
+  std::unordered_map<std::string_view, uint32_t> index_;
 };
 
 }  // namespace gdlog

@@ -75,11 +75,18 @@ struct JsonParseOptions {
   bool strict_strings = true;
 };
 
+class JsonReader;
+
+/// A JSON number's text as an int64: exact for any int64;
+/// kInvalidArgument on fractions, exponents or overflow.
+Result<long long> JsonNumberToInt(std::string_view text);
+
 /// A parsed JSON document — the read-side counterpart of JsonWriter, used
-/// to import serialized partial outcome spaces (gdatalog/export.h) and by
-/// any tooling that consumes the CLI's --json output. Numbers keep their
-/// source text so callers can parse int64s and hex-float doubles exactly
-/// instead of round-tripping through a lossy double.
+/// by request handlers and by any tooling that consumes the CLI's --json
+/// output. Built by a JsonReader, so it accepts exactly the reader's
+/// grammar. Numbers keep their source text so callers can parse int64s and
+/// hex-float doubles exactly instead of round-tripping through a lossy
+/// double.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -118,13 +125,183 @@ class JsonValue {
   const JsonValue* Find(std::string_view key) const;
 
  private:
-  friend class JsonParser;
+  /// Reads one value (recursively) from `reader` into `out`.
+  static Status Build(JsonReader& reader, JsonValue* out);
 
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   std::string scalar_;  ///< number text or string payload
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> members_;
+};
+
+/// A pull reader over one JSON document: the project's single JSON lexer.
+/// Callers walk the document value by value — JsonValue::Parse builds a
+/// tree from it, while hot-path decoders (PartialSpaceFromJson) read
+/// straight into their own structures without one. Strings come back as
+/// views: into the input when the string has no escapes, otherwise into
+/// one scratch buffer the reader reuses, so a view stays valid only until
+/// the next string or key is read. Numbers come back as their source text.
+///
+/// Usage: every value is consumed by exactly one call, usually picked by
+/// Peek(): BeginObject/BeginArray (then NextMember/NextElement until they
+/// return false), ReadString, ReadNumber, ReadBool, ReadNull or
+/// SkipValue. Finish() then checks that only whitespace follows.
+/// Every error is a ParseError carrying the byte offset.
+class JsonReader {
+ public:
+  using Kind = JsonValue::Kind;
+
+  /// A value nested inside more containers than this is rejected, whether
+  /// it is read or skipped (so attacker-sized nesting never turns into
+  /// stack exhaustion in a recursive consumer).
+  static constexpr size_t kMaxDepth = 96;
+
+  explicit JsonReader(std::string_view text,
+                      const JsonParseOptions& options = JsonParseOptions{})
+      : text_(text), options_(options) {}
+
+  /// The kind of the next value, without consuming it. Any byte that does
+  /// not open another kind is reported as kNumber; ReadNumber rejects it.
+  Result<Kind> Peek() {
+    if (depth_ > kMaxDepth) return Error("nesting too deep");
+    SkipWhitespace();
+    if (pos_ >= text_.size()) return Error("unexpected end of input");
+    switch (text_[pos_]) {
+      case '{': return Kind::kObject;
+      case '[': return Kind::kArray;
+      case '"': return Kind::kString;
+      case 't':
+      case 'f': return Kind::kBool;
+      case 'n': return Kind::kNull;
+      default: return Kind::kNumber;
+    }
+  }
+
+  /// Enters the object (array) that is the next value.
+  Status BeginObject() { return Begin(Kind::kObject, "expected object"); }
+  Status BeginArray() { return Begin(Kind::kArray, "expected array"); }
+
+  /// Advances to the current object's next member and stores its key, or
+  /// consumes the closing '}' and returns false. The caller must consume
+  /// the member's value before calling again.
+  Result<bool> NextMember(std::string_view* key) {
+    SkipWhitespace();
+    if (Consume('}')) return Close();
+    if (!first_ && !Consume(',')) return Error("expected ',' or '}'");
+    first_ = false;
+    SkipWhitespace();
+    if (pos_ >= text_.size() || text_[pos_] != '"') {
+      return Error("expected object key");
+    }
+    GDLOG_RETURN_IF_ERROR(ScanString(key));
+    SkipWhitespace();
+    if (!Consume(':')) return Error("expected ':'");
+    return true;
+  }
+
+  /// Advances to the current array's next element, or consumes the
+  /// closing ']' and returns false.
+  Result<bool> NextElement() {
+    SkipWhitespace();
+    if (Consume(']')) return Close();
+    if (!first_ && !Consume(',')) return Error("expected ',' or ']'");
+    first_ = false;
+    return true;
+  }
+
+  Status ReadString(std::string_view* out) {
+    GDLOG_ASSIGN_OR_RETURN(Kind kind, Peek());
+    if (kind != Kind::kString) return Error("expected string");
+    return ScanString(out);
+  }
+
+  /// The number's source text, checked against the RFC 8259 grammar.
+  Status ReadNumber(std::string_view* text);
+  Status ReadBool(bool* out);
+  Status ReadNull();
+  /// Consumes the next value of any kind, validating it as strictly as a
+  /// read would. Iterative: nesting costs no stack, and a value deeper
+  /// than kMaxDepth is rejected.
+  Status SkipValue();
+
+  /// Succeeds iff only whitespace remains after the document.
+  Status Finish();
+
+ private:
+  /// A ParseError for `what` at the current offset.
+  Status Error(std::string_view what) const;
+
+  // The hot loops below scan with local indices: a char load may alias
+  // any member, so stepping pos_ itself would reload and store it per byte.
+  void SkipWhitespace() {
+    size_t pos = pos_;
+    while (pos < text_.size()) {
+      char c = text_[pos];
+      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+      ++pos;
+    }
+    pos_ = pos;
+  }
+
+  bool Consume(char c) {
+    if (pos_ < text_.size() && text_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+
+  bool ConsumeWord(std::string_view word);
+
+  Status Begin(Kind kind, const char* what) {
+    GDLOG_ASSIGN_OR_RETURN(Kind next, Peek());
+    if (next != kind) return Error(what);
+    ++pos_;
+    ++depth_;
+    first_ = true;
+    return Status::OK();
+  }
+
+  /// Leaves the innermost container; always false (no further member).
+  bool Close() {
+    --depth_;
+    // The enclosing container (if any) already passed its first element.
+    first_ = false;
+    return false;
+  }
+
+  /// Reads the string whose opening quote is at pos_. The common case — no
+  /// escapes, and in strict mode nothing outside printable ASCII — is a
+  /// view into the input; anything else takes ScanStringSlow.
+  Status ScanString(std::string_view* out) {
+    const char* data = text_.data();
+    const size_t size = text_.size();
+    const bool strict = options_.strict_strings;
+    const size_t start = pos_ + 1;
+    for (size_t pos = start; pos < size; ++pos) {
+      unsigned char c = static_cast<unsigned char>(data[pos]);
+      if (c == '"') {
+        *out = std::string_view(data + start, pos - start);
+        pos_ = pos + 1;
+        return Status::OK();
+      }
+      if (c == '\\' || (strict && (c < 0x20 || c >= 0x80))) break;
+    }
+    return ScanStringSlow(start, out);
+  }
+  Status ScanStringSlow(size_t start, std::string_view* out);
+  Status ReadHex4(unsigned* code);
+
+  std::string_view text_;
+  JsonParseOptions options_;
+  size_t pos_ = 0;
+  /// Containers currently open.
+  size_t depth_ = 0;
+  /// True until the innermost open container's first Next* call.
+  bool first_ = false;
+  /// Decoded contents of the last string that carried escapes.
+  std::string scratch_;
 };
 
 }  // namespace gdlog

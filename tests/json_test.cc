@@ -1,4 +1,4 @@
-// JsonWriter and outcome-space export tests.
+// JsonWriter, JsonReader, JsonValue and outcome-space export tests.
 #include <gtest/gtest.h>
 
 #include "gdatalog/engine.h"
@@ -234,6 +234,145 @@ TEST(JsonParse, RejectsRunawayNesting) {
   std::string shallow(20, '[');
   shallow += std::string(20, ']');
   EXPECT_TRUE(JsonValue::Parse(shallow).ok());
+}
+
+// ---------------------------------------------------------------------------
+// JsonReader: the pull reader JsonValue::Parse and the partial decoder
+// share.
+// ---------------------------------------------------------------------------
+
+TEST(JsonReader, WalksADocumentWithoutATree) {
+  const std::string text =
+      R"( {"name":"plain","k\u0065y":"esc\"aped","n":-1.5e3,)"
+      R"("list":[true,null,false],"empty":{}} )";
+  JsonReader reader(text);
+  ASSERT_TRUE(reader.BeginObject().ok());
+  std::string_view key, value;
+
+  ASSERT_TRUE(*reader.NextMember(&key));
+  EXPECT_EQ(key, "name");
+  ASSERT_TRUE(reader.ReadString(&value).ok());
+  EXPECT_EQ(value, "plain");
+  // Unescaped strings are views into the input itself.
+  EXPECT_GE(value.data(), text.data());
+  EXPECT_LT(value.data(), text.data() + text.size());
+
+  ASSERT_TRUE(*reader.NextMember(&key));
+  EXPECT_EQ(key, "key");  // decoded from its \u escape
+  ASSERT_TRUE(reader.ReadString(&value).ok());
+  EXPECT_EQ(value, "esc\"aped");
+
+  ASSERT_TRUE(*reader.NextMember(&key));
+  EXPECT_EQ(*reader.Peek(), JsonValue::Kind::kNumber);
+  ASSERT_TRUE(reader.ReadNumber(&value).ok());
+  EXPECT_EQ(value, "-1.5e3");
+
+  ASSERT_TRUE(*reader.NextMember(&key));
+  EXPECT_EQ(key, "list");
+  ASSERT_TRUE(reader.BeginArray().ok());
+  bool b = false;
+  ASSERT_TRUE(*reader.NextElement());
+  ASSERT_TRUE(reader.ReadBool(&b).ok());
+  EXPECT_TRUE(b);
+  ASSERT_TRUE(*reader.NextElement());
+  ASSERT_TRUE(reader.ReadNull().ok());
+  ASSERT_TRUE(*reader.NextElement());
+  ASSERT_TRUE(reader.ReadBool(&b).ok());
+  EXPECT_FALSE(b);
+  EXPECT_FALSE(*reader.NextElement());
+
+  ASSERT_TRUE(*reader.NextMember(&key));
+  EXPECT_EQ(key, "empty");
+  ASSERT_TRUE(reader.BeginObject().ok());
+  EXPECT_FALSE(*reader.NextMember(&key));
+  EXPECT_FALSE(*reader.NextMember(&key));
+  EXPECT_TRUE(reader.Finish().ok());
+}
+
+TEST(JsonReader, KindMismatchesAndTrailingContentAreErrors) {
+  JsonReader reader(R"("text")");
+  std::string_view number;
+  EXPECT_FALSE(reader.ReadNumber(&number).ok());
+  EXPECT_FALSE(reader.BeginObject().ok());
+
+  JsonReader trailing("[] []");
+  ASSERT_TRUE(trailing.BeginArray().ok());
+  EXPECT_FALSE(*trailing.NextElement());
+  Status status = trailing.Finish();
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("trailing content"), std::string::npos);
+}
+
+TEST(JsonReader, SkipValueSkipsNestedUnknownMembers) {
+  JsonReader reader(
+      R"({"keep":1,"skip":{"a":[1,{"b":"x\"}]"},[[]],-0.5e-2],"c":{},)"
+      R"("d":[{"e":[null,true,"é"]}]},"also":"z"})");
+  ASSERT_TRUE(reader.BeginObject().ok());
+  std::string_view key, value;
+  ASSERT_TRUE(*reader.NextMember(&key));
+  ASSERT_TRUE(reader.ReadNumber(&value).ok());
+  ASSERT_TRUE(*reader.NextMember(&key));
+  EXPECT_EQ(key, "skip");
+  ASSERT_TRUE(reader.SkipValue().ok());
+  ASSERT_TRUE(*reader.NextMember(&key));
+  EXPECT_EQ(key, "also");
+  ASSERT_TRUE(reader.ReadString(&value).ok());
+  EXPECT_EQ(value, "z");
+  EXPECT_FALSE(*reader.NextMember(&key));
+  EXPECT_TRUE(reader.Finish().ok());
+}
+
+TEST(JsonReader, SkipValueValidatesWhatItSkips) {
+  for (const char* bad : {R"({"skip":[1,]})", R"({"skip":{"a"}})",
+                          R"({"skip":[01]})", R"({"skip":tru})",
+                          R"({"skip":"\x"})", R"({"skip":[1})"}) {
+    JsonReader reader(bad);
+    ASSERT_TRUE(reader.BeginObject().ok()) << bad;
+    std::string_view key;
+    ASSERT_TRUE(*reader.NextMember(&key)) << bad;
+    EXPECT_FALSE(reader.SkipValue().ok()) << bad;
+  }
+  // Strict strings stay strict when skipped.
+  std::string ctrl = "[\"a";
+  ctrl += '\x01';
+  ctrl += "\"]";
+  EXPECT_FALSE(JsonReader(ctrl).SkipValue().ok());
+  JsonParseOptions lenient;
+  lenient.strict_strings = false;
+  EXPECT_TRUE(JsonReader(ctrl, lenient).SkipValue().ok());
+}
+
+std::string NestedArrays(size_t levels, const char* inner) {
+  return std::string(levels, '[') + inner + std::string(levels, ']');
+}
+
+TEST(JsonReader, DepthLimitIsExact) {
+  // n arrays put the innermost array at depth n-1 and a scalar inside it
+  // at depth n; values deeper than kMaxDepth are rejected.
+  constexpr size_t kMax = JsonReader::kMaxDepth;
+  EXPECT_TRUE(JsonValue::Parse(NestedArrays(kMax + 1, "")).ok());
+  EXPECT_FALSE(JsonValue::Parse(NestedArrays(kMax + 2, "")).ok());
+  EXPECT_TRUE(JsonValue::Parse(NestedArrays(kMax, "1")).ok());
+  EXPECT_FALSE(JsonValue::Parse(NestedArrays(kMax + 1, "1")).ok());
+  // SkipValue draws the line in the same place.
+  EXPECT_TRUE(JsonReader(NestedArrays(kMax + 1, "")).SkipValue().ok());
+  EXPECT_FALSE(JsonReader(NestedArrays(kMax + 2, "")).SkipValue().ok());
+  EXPECT_TRUE(JsonReader(NestedArrays(kMax, "1")).SkipValue().ok());
+  EXPECT_FALSE(JsonReader(NestedArrays(kMax + 1, "1")).SkipValue().ok());
+}
+
+TEST(JsonReader, SkippedValueDeeperThanTheLimitIsRejectedNotRecursed) {
+  // Far deeper than any stack would survive if skipping recursed: the
+  // reader stops at kMaxDepth with an error instead.
+  std::string deep = R"({"unknown":)" + std::string(1 << 20, '[');
+  JsonReader reader(deep);
+  ASSERT_TRUE(reader.BeginObject().ok());
+  std::string_view key;
+  ASSERT_TRUE(*reader.NextMember(&key));
+  Status status = reader.SkipValue();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("nesting too deep"), std::string::npos);
+  EXPECT_FALSE(JsonValue::Parse(deep).ok());
 }
 
 TEST(JsonExport, CoinOutcomeSpace) {

@@ -4,7 +4,9 @@
 
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <string>
 #include <unordered_set>
 
 #include "util/hash.h"
@@ -165,6 +167,35 @@ TEST(Interner, IdsAreDense) {
   for (uint32_t i = 0; i < 100; ++i) {
     EXPECT_EQ(interner.Intern("s" + std::to_string(i)), i);
   }
+}
+
+TEST(Interner, CloneOutlivesItsSource) {
+  // The index keys on views into the interner's own strings; a clone must
+  // re-key on its copies, or these lookups read freed memory (ASan job).
+  auto source = std::make_unique<Interner>();
+  // Long names defeat the small-string buffer, so they live on the heap.
+  const std::string long_name(64, 'x');
+  uint32_t a = source->Intern("a");
+  uint32_t x = source->Intern(long_name);
+  std::shared_ptr<Interner> clone = source->Clone();
+  source.reset();
+  EXPECT_EQ(clone->Lookup("a"), a);
+  EXPECT_EQ(clone->Lookup(long_name), x);
+  EXPECT_EQ(clone->Lookup("ghost"), Interner::kNotFound);
+  EXPECT_EQ(clone->Name(x), long_name);
+  // The clone stays an independent, growable table.
+  uint32_t b = clone->Intern("b");
+  EXPECT_EQ(b, 2u);
+  EXPECT_EQ(clone->Lookup("b"), b);
+}
+
+TEST(Interner, LookupTakesAnyStringView) {
+  Interner interner;
+  uint32_t id = interner.Intern("pred");
+  const std::string text = "xpredx";
+  EXPECT_EQ(interner.Lookup(std::string_view(text).substr(1, 4)), id);
+  EXPECT_EQ(interner.Lookup(std::string_view(text).substr(0, 4)),
+            Interner::kNotFound);
 }
 
 // ---------------------------------------------------------------------------

@@ -196,27 +196,33 @@ int main(int argc, char** argv) {
   reg.KV("db", opts.db_path.empty() ? "" : ReadFile(opts.db_path));
   reg.KV("grounder", opts.grounder);
   reg.EndObject();
-  auto client = gdlog::HttpClient::Connect(opts.host, opts.port);
-  if (!client.ok()) {
-    std::fprintf(stderr, "error: %s\n", client.status().ToString().c_str());
-    return 1;
+  std::string program_id;
+  {
+    // Scoped so the registration connection closes before the storm: the
+    // server serves each connection on one of its --http-threads, and a
+    // connection held idle here would leave a client waiting for it.
+    auto client = gdlog::HttpClient::Connect(opts.host, opts.port);
+    if (!client.ok()) {
+      std::fprintf(stderr, "error: %s\n", client.status().ToString().c_str());
+      return 1;
+    }
+    auto registered = client->Request("POST", "/v1/programs", reg.str());
+    if (!registered.ok() ||
+        (registered->status != 200 && registered->status != 201)) {
+      std::fprintf(stderr, "error registering program: %s\n",
+                   registered.ok() ? registered->body.c_str()
+                                   : registered.status().ToString().c_str());
+      return 1;
+    }
+    auto reg_doc = gdlog::JsonValue::Parse(registered->body);
+    const gdlog::JsonValue* id_field =
+        reg_doc.ok() ? reg_doc->Find("id") : nullptr;
+    if (id_field == nullptr || !id_field->is_string()) {
+      std::fprintf(stderr, "error: malformed /programs response\n");
+      return 1;
+    }
+    program_id = id_field->string_value();
   }
-  auto registered = client->Request("POST", "/v1/programs", reg.str());
-  if (!registered.ok() ||
-      (registered->status != 200 && registered->status != 201)) {
-    std::fprintf(stderr, "error registering program: %s\n",
-                 registered.ok() ? registered->body.c_str()
-                                 : registered.status().ToString().c_str());
-    return 1;
-  }
-  auto reg_doc = gdlog::JsonValue::Parse(registered->body);
-  const gdlog::JsonValue* id_field =
-      reg_doc.ok() ? reg_doc->Find("id") : nullptr;
-  if (id_field == nullptr || !id_field->is_string()) {
-    std::fprintf(stderr, "error: malformed /programs response\n");
-    return 1;
-  }
-  std::string program_id = id_field->string_value();
   std::printf("registered program %s\n", program_id.c_str());
 
   const bool fleet = !opts.fleet_workers.empty();
@@ -377,6 +383,12 @@ int main(int argc, char** argv) {
     patch.BeginObject();
     patch.KV("delta", ReadFile(opts.delta_path));
     patch.EndObject();
+    auto client = gdlog::HttpClient::Connect(opts.host, opts.port);
+    if (!client.ok()) {
+      std::fprintf(stderr, "FAIL: %s\n", client.status().ToString().c_str());
+      std::printf("FAIL\n");
+      return 1;
+    }
     auto patched = client->Request(
         "PATCH", "/v1/programs/" + program_id + "/db", patch.str());
     if (!patched.ok() || patched->status != 200) {
