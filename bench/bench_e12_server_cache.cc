@@ -98,7 +98,7 @@ void BM_ServerQuery_WarmEndToEnd(benchmark::State& state) {
       .EndObject();
   gdlog::HttpRequest register_request;
   register_request.method = "POST";
-  register_request.target = "/programs";
+  register_request.target = "/v1/programs";
   register_request.body = reg.str();
   gdlog::HttpResponse registered = service.Handle(register_request);
   if (registered.status != 201) std::abort();
@@ -106,7 +106,7 @@ void BM_ServerQuery_WarmEndToEnd(benchmark::State& state) {
   if (!doc.ok() || doc->Find("id") == nullptr) std::abort();
   gdlog::HttpRequest query;
   query.method = "POST";
-  query.target = "/query";
+  query.target = "/v1/query";
   query.body = "{\"program_id\":\"" + doc->Find("id")->string_value() +
                "\"}";
   gdlog::HttpResponse warmup = service.Handle(query);

@@ -158,8 +158,9 @@ class StreamingMerger {
 };
 
 /// Convenience in-process driver: plans `num_shards` shards, explores each
-/// one (sequentially, in this process) and merges. Used by tests and as a
-/// reference for the subprocess orchestration in gdlog_cli.
+/// one (sequentially, in this process) and merges. The reference the
+/// out-of-process paths are held to: gdlog_cli's --shard-index/--merge and
+/// the gdlogd fleet (/v1/shards + /v1/jobs).
 Result<OutcomeSpace> ShardedExplore(const ChaseEngine& engine,
                                     const ChaseOptions& options,
                                     size_t num_shards,

@@ -19,7 +19,7 @@ namespace gdlog {
 /// (Transfer-Encoding is answered with 501).
 struct HttpRequest {
   std::string method;  ///< "GET", "POST", ... (verbatim, case-sensitive).
-  std::string target;  ///< e.g. "/query".
+  std::string target;  ///< e.g. "/v1/query".
   std::string body;
   std::vector<std::pair<std::string, std::string>> headers;
 
@@ -34,7 +34,7 @@ struct HttpResponse {
   std::string content_type = "application/json";
   std::string body;
   /// Extra response headers, written verbatim after the framing headers
-  /// (e.g. the Deprecation marker on legacy endpoint aliases).
+  /// (e.g. the X-Gdlog-Trace id).
   std::vector<std::pair<std::string, std::string>> headers;
   /// Force-close the connection after this response.
   bool close = false;

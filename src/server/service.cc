@@ -100,15 +100,9 @@ InferenceService::InferenceService(Options options)
 HttpResponse InferenceService::Handle(const HttpRequest& request) {
   const uint64_t start_ns = MonotonicNanos();
   requests_.fetch_add(1, std::memory_order_relaxed);
-  // The API surface lives under /v1/; the original unversioned paths stay
-  // routable as deprecated aliases, marked with a Deprecation header (RFC
-  // 9745) so clients can migrate on their own schedule.
-  std::string target = request.target;
-  bool versioned = false;
-  if (target.rfind("/v1/", 0) == 0) {
-    versioned = true;
-    target = target.substr(3);
-  }
+  // The API surface lives under /v1/; any other target is a 404.
+  const bool versioned = request.target.rfind("/v1/", 0) == 0;
+  const std::string target = versioned ? request.target.substr(3) : "";
   // Trace propagation: adopt the caller's well-formed id (so a multi-hop
   // request keeps one id end to end), mint one otherwise. Every response —
   // error envelopes included — echoes it.
@@ -119,13 +113,10 @@ HttpResponse InferenceService::Handle(const HttpRequest& request) {
   } else {
     trace = GenerateTraceId();
   }
-  HttpResponse response = Route(request, target, trace);
-  if (!versioned) {
-    response.headers.emplace_back("Deprecation", "true");
-    response.headers.emplace_back("Link",
-                                  "</v1" + target +
-                                      ">; rel=\"successor-version\"");
-  }
+  HttpResponse response =
+      versioned ? Route(request, target, trace)
+                : ErrorResponse(Status::NotFound("no such resource: " +
+                                                 request.target));
   response.headers.emplace_back(kTraceHeader, trace);
   request_hist_[EndpointFor(target)].RecordNanos(MonotonicNanos() -
                                                  start_ns);

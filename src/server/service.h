@@ -25,10 +25,9 @@ namespace gdlog {
 ///
 /// The surface is versioned: every endpoint lives under /v1/ (the full
 /// contract — methods, schemas, error codes — is documented in
-/// docs/API.md). The original unversioned paths remain as deprecated
-/// aliases: same behavior, plus a "Deprecation: true" header and a Link
-/// to the /v1 successor. Every non-2xx response, HTTP framing layer
-/// included, carries the uniform {"error":{"code","message"}} envelope.
+/// docs/API.md); any target outside /v1/ is a 404. Every non-2xx
+/// response, HTTP framing layer included, carries the uniform
+/// {"error":{"code","message"}} envelope.
 ///
 /// Endpoints (all request bodies are JSON):
 ///
@@ -139,9 +138,9 @@ class InferenceService {
   };
   ServiceCounters SnapshotCounters() const;
 
-  /// Routes a version-stripped target ("/query" for both /query and
-  /// /v1/query). `trace` is the request's trace id (already validated or
-  /// minted by Handle); handlers that fan out forward it.
+  /// Routes a version-stripped target ("/query" for /v1/query). `trace`
+  /// is the request's trace id (already validated or minted by Handle);
+  /// handlers that fan out forward it.
   HttpResponse Route(const HttpRequest& request, const std::string& target,
                      const std::string& trace);
   HttpResponse HandleRegister(const HttpRequest& request);

@@ -12,9 +12,8 @@ namespace gdlog {
 
 /// A connected TCP stream with poll-based timeouts — the byte transport
 /// beneath the HTTP serving layer (src/server) and its test/load clients.
-/// POSIX-only, like util/subprocess. Writes use MSG_NOSIGNAL so a peer
-/// hanging up surfaces as a Status instead of killing the process with
-/// SIGPIPE.
+/// POSIX-only. Writes use MSG_NOSIGNAL so a peer hanging up surfaces as a
+/// Status instead of killing the process with SIGPIPE.
 class Connection {
  public:
   /// Adopts an already-connected file descriptor (what ListenSocket::Accept

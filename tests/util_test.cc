@@ -1,8 +1,7 @@
 // Unit tests for the util substrate: Status/Result, Value, Interner, Rng,
-// Rational/Prob arithmetic, Subprocess.
+// hashing, Rational/Prob arithmetic.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -14,7 +13,6 @@
 #include "util/prob.h"
 #include "util/rng.h"
 #include "util/status.h"
-#include "util/subprocess.h"
 #include "util/value.h"
 
 namespace gdlog {
@@ -336,65 +334,6 @@ TEST_P(ProbPowerTest, GeometricMassesSumBelowOne) {
 
 INSTANTIATE_TEST_SUITE_P(Depths, ProbPowerTest,
                          ::testing::Values(1, 2, 4, 8, 16, 32, 50));
-
-// ---------------------------------------------------------------------------
-// Subprocess
-// ---------------------------------------------------------------------------
-
-TEST(Subprocess, CapturesStdoutAndExitCode) {
-  auto child = Subprocess::Spawn({"sh", "-c", "printf hello; exit 3"});
-  ASSERT_TRUE(child.ok());
-  std::string out;
-  auto code = child->Wait(&out);
-  ASSERT_TRUE(code.ok());
-  EXPECT_EQ(*code, 3);
-  EXPECT_EQ(out, "hello");
-}
-
-TEST(Subprocess, TimedWaitReturnsBeforeDeadlineWhenChildExits) {
-  auto child = Subprocess::Spawn({"sh", "-c", "printf done"});
-  ASSERT_TRUE(child.ok());
-  std::string out;
-  auto code = child->Wait(&out, /*timeout_ms=*/30'000);
-  ASSERT_TRUE(code.ok());
-  EXPECT_EQ(*code, 0);
-  EXPECT_EQ(out, "done");
-}
-
-TEST(Subprocess, TimedWaitKillsHungChild) {
-  auto child = Subprocess::Spawn({"sleep", "30"});
-  ASSERT_TRUE(child.ok());
-  std::string out;
-  auto start = std::chrono::steady_clock::now();
-  auto code = child->Wait(&out, /*timeout_ms=*/200);
-  double elapsed = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  ASSERT_FALSE(code.ok());
-  EXPECT_EQ(code.status().code(), StatusCode::kBudgetExhausted);
-  // The child was killed and reaped, not waited out.
-  EXPECT_LT(elapsed, 10.0);
-}
-
-TEST(Subprocess, TimedWaitKillsChildThatClosedStdoutButWontExit) {
-  // EOF on stdout arrives immediately; the exit never does. The deadline
-  // must cover the reap too, or CI hangs on exactly this shape of bug.
-  // (stderr is closed as well: it is inherited from this test binary, and
-  // a straggler grandchild holding it open would stall whatever pipe
-  // ctest reads our output through.)
-  auto child = Subprocess::Spawn(
-      {"sh", "-c", "exec 1>&- 2>&-; sleep 5"});
-  ASSERT_TRUE(child.ok());
-  std::string out;
-  auto start = std::chrono::steady_clock::now();
-  auto code = child->Wait(&out, /*timeout_ms=*/200);
-  double elapsed = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  ASSERT_FALSE(code.ok());
-  EXPECT_EQ(code.status().code(), StatusCode::kBudgetExhausted);
-  EXPECT_LT(elapsed, 10.0);
-}
 
 }  // namespace
 }  // namespace gdlog

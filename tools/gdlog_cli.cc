@@ -27,15 +27,17 @@
 //   --threads N           exact-mode chase workers per process (0 = one per
 //                         hardware thread, 1 = serial; default 0). Results
 //                         are identical for any N when no budget binds.
-//   --shards N            exact mode: decompose the chase tree by
-//                         choice-set prefix into N shards, explore them in
-//                         N worker subprocesses and merge — the merged
-//                         space (and its --json export) is byte-identical
-//                         to the single-process run when no budget binds
-//   --shard-index I       run only shard I (0-based) and print the partial
-//                         outcome space as JSON — the worker mode spawned
-//                         by --shards, also usable manually to spread
-//                         shards across machines (merge with --merge)
+//   --shards N            the shard plan's width: the chase tree split by
+//                         choice-set prefix into N shards. Requires
+//                         --shard-index; the CLI spawns no processes (one
+//                         machine: --threads; a fleet: gdlogd's
+//                         POST /v1/jobs)
+//   --shard-index I       run only shard I (0-based) of the N-shard plan
+//                         and print its partial outcome space as JSON. Run
+//                         every index, anywhere, and recombine with
+//                         --merge: the merged space (and its --json
+//                         export) is byte-identical to the single-process
+//                         run when no budget binds
 //   --shard-prefix-depth K  choice-prefix depth of the shard plan
 //                         (default 0 = auto-pick from the frontier width)
 //   --merge FILE          merge partial-space JSON files (one --merge per
@@ -54,11 +56,12 @@
 //                         disables). The outcome space — and the --json
 //                         bytes — are identical either way; only grounding
 //                         work changes. With --query in plain exact mode
-//                         (no --json/--outcomes/--events/--mc/--shards),
-//                         the magic-sets demand pass additionally restricts
-//                         exploration to the queried predicates' dependency
-//                         cone: marginals and P(consistent) are exact,
-//                         the outcome count may coarsen
+//                         (no --json/--outcomes/--events/--mc/
+//                         --shard-index/--merge), the magic-sets demand
+//                         pass additionally restricts exploration to the
+//                         queried predicates' dependency cone: marginals
+//                         and P(consistent) are exact, the outcome count
+//                         may coarsen
 //   --profile             exact mode: collect the per-rule chase profile
 //                         (calls, bindings, derivations, stratum, wall
 //                         time per Σ_Π rule; per-depth node/ground/solve
@@ -79,14 +82,16 @@
 //                         controlled by --outcomes / --events) and exit
 //   --dot                 print the dependency graph in DOT and exit
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gdatalog/engine.h"
@@ -95,7 +100,6 @@
 #include "gdatalog/shard.h"
 #include "ground/dependency_graph.h"
 #include "obs/profile.h"
-#include "util/subprocess.h"
 
 namespace {
 
@@ -128,7 +132,6 @@ struct CliOptions {
   size_t shard_prefix_depth = 0;       // 0 = auto
   std::vector<std::string> merge_files;
   long long normalgrid_max_cells = -1;  // -1 = default
-  std::string argv0;
 };
 
 [[noreturn]] void Usage(const char* argv0, const char* error = nullptr) {
@@ -139,7 +142,7 @@ struct CliOptions {
                "          [--query ATOM]... [--events] [--outcomes]\n"
                "          [--mc N] [--seed S] [--max-outcomes N]\n"
                "          [--max-depth N] [--support-limit N] [--condition]\n"
-               "          [--threads N] [--shards N [--shard-index I]]\n"
+               "          [--threads N] [--shards N --shard-index I]\n"
                "          [--shard-prefix-depth K] [--merge FILE]...\n"
                "          [--extensions] [--normalgrid-max-cells K]\n"
                "          [--opt | --no-opt] [--dump-ir]\n"
@@ -164,6 +167,28 @@ CliOptions ParseArgs(int argc, char** argv) {
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) Usage(argv[0], "missing argument value");
     return argv[++i];
+  };
+  // A numeric flag's value must be, in full, a decimal integer in
+  // [min, max]. "1e6", "-1" or "abc" is a usage error, never a silently
+  // truncated or wrapped budget.
+  auto need_number = [&](int& i, uint64_t min = 0,
+                         uint64_t max = std::numeric_limits<uint64_t>::max()) {
+    const std::string flag = argv[i];
+    const char* text = need_value(i);
+    const char* end = text + std::strlen(text);
+    uint64_t value = 0;
+    auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end || value < min || value > max) {
+      std::string range =
+          max == std::numeric_limits<uint64_t>::max()
+              ? ">= " + std::to_string(min)
+              : "in [" + std::to_string(min) + ", " + std::to_string(max) +
+                    "]";
+      Usage(argv[0], (flag + " expects a decimal integer " + range +
+                      ", got '" + text + "'")
+                         .c_str());
+    }
+    return value;
   };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -192,23 +217,23 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--profile")) {
       opts.profile = true;
     } else if (!std::strcmp(arg, "--mc")) {
-      opts.mc_samples = std::strtoull(need_value(i), nullptr, 10);
+      opts.mc_samples = need_number(i);
     } else if (!std::strcmp(arg, "--seed")) {
-      opts.seed = std::strtoull(need_value(i), nullptr, 10);
+      opts.seed = need_number(i);
     } else if (!std::strcmp(arg, "--max-outcomes")) {
-      opts.max_outcomes = std::strtoull(need_value(i), nullptr, 10);
+      opts.max_outcomes = need_number(i);
     } else if (!std::strcmp(arg, "--max-depth")) {
-      opts.max_depth = std::strtoull(need_value(i), nullptr, 10);
+      opts.max_depth = need_number(i);
     } else if (!std::strcmp(arg, "--support-limit")) {
-      opts.support_limit = std::strtoull(need_value(i), nullptr, 10);
+      opts.support_limit = need_number(i);
     } else if (!std::strcmp(arg, "--threads")) {
-      opts.threads = std::strtoull(need_value(i), nullptr, 10);
+      opts.threads = need_number(i);
     } else if (!std::strcmp(arg, "--shards")) {
-      opts.shards = std::strtoull(need_value(i), nullptr, 10);
+      opts.shards = need_number(i, 1);
     } else if (!std::strcmp(arg, "--shard-index")) {
-      opts.shard_index = std::strtoull(need_value(i), nullptr, 10);
+      opts.shard_index = need_number(i);
     } else if (!std::strcmp(arg, "--shard-prefix-depth")) {
-      opts.shard_prefix_depth = std::strtoull(need_value(i), nullptr, 10);
+      opts.shard_prefix_depth = need_number(i);
     } else if (!std::strcmp(arg, "--merge")) {
       opts.merge_files.push_back(need_value(i));
     } else if (!std::strcmp(arg, "--extensions")) {
@@ -220,7 +245,8 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--dump-ir")) {
       opts.dump_ir = true;
     } else if (!std::strcmp(arg, "--normalgrid-max-cells")) {
-      opts.normalgrid_max_cells = std::strtoll(need_value(i), nullptr, 10);
+      opts.normalgrid_max_cells =
+          static_cast<long long>(need_number(i, 1, 1u << 20));
     } else if (!std::strcmp(arg, "--help") || !std::strcmp(arg, "-h")) {
       Usage(argv[0]);
     } else {
@@ -228,16 +254,25 @@ CliOptions ParseArgs(int argc, char** argv) {
     }
   }
   if (opts.program_path.empty()) Usage(argv[0], "--program is required");
+  if (opts.shards > 0 && opts.shard_index == kNoShardIndex) {
+    Usage(argv[0],
+          "--shards requires --shard-index; the CLI spawns no processes.\n"
+          "  one machine:  --threads N\n"
+          "  by hand:      --shards N --shard-index I for I = 0..N-1, then\n"
+          "                --merge FILE... over the partials\n"
+          "  a fleet:      gdlogd POST /v1/jobs");
+  }
   if (opts.shard_index != kNoShardIndex) {
     if (opts.shards < 1) Usage(argv[0], "--shard-index requires --shards");
     if (opts.shard_index >= opts.shards) {
       Usage(argv[0], "--shard-index must be < --shards");
     }
   }
-  if (!opts.merge_files.empty() && opts.shards > 0) {
-    Usage(argv[0], "--merge and --shards are mutually exclusive");
+  if (!opts.merge_files.empty() && opts.shard_index != kNoShardIndex) {
+    Usage(argv[0], "--merge and --shard-index are mutually exclusive");
   }
-  if (opts.mc_samples > 0 && (opts.shards > 0 || !opts.merge_files.empty())) {
+  if (opts.mc_samples > 0 &&
+      (opts.shard_index != kNoShardIndex || !opts.merge_files.empty())) {
     Usage(argv[0], "sharding applies to exact mode only (drop --mc)");
   }
   if (opts.normalgrid_max_cells >= 0 && !opts.extensions) {
@@ -467,8 +502,8 @@ int ReportSpace(const gdlog::GDatalog& engine, const gdlog::OutcomeSpace& space,
 
 // Worker mode (--shards N --shard-index I): recompute the deterministic
 // shard plan, explore shard I, and print the partial outcome space as a
-// single JSON line on stdout — the only stdout output, so the driver (or an
-// operator piping to a file for a cross-machine merge) captures it cleanly.
+// single JSON line on stdout — the only stdout output, so piping it to a
+// file for a later --merge captures it cleanly.
 int RunShardWorker(const gdlog::GDatalog& engine, const CliOptions& opts) {
   gdlog::ChaseOptions chase = MakeChaseOptions(opts);
   auto plan = engine.chase().PlanShards(chase, opts.shards,
@@ -535,90 +570,6 @@ int MergeAndReport(const gdlog::GDatalog& engine, const CliOptions& opts,
   gdlog::OutcomeSpace space =
       gdlog::MergePartialSpaces(std::move(partials), opts.max_outcomes);
   return ReportSpace(engine, space, opts);
-}
-
-// Driver mode (--shards N without --shard-index): spawn one worker
-// subprocess per shard — this binary re-invoked with --shard-index —
-// collect the partial spaces over pipes, merge, and report exactly like a
-// single-process run.
-int RunShardDriver(const gdlog::GDatalog& engine, const CliOptions& opts) {
-  std::string exe = gdlog::Subprocess::SelfExecutable(opts.argv0);
-  // With the default --threads 0, every worker would start one chase
-  // thread per hardware thread — N shards × all cores oversubscribes the
-  // machine N-fold. Split the cores across the workers instead (an
-  // explicit --threads value is forwarded as given: the operator asked
-  // for it, e.g. when the workers land on different machines). Thread
-  // count never changes results, only speed.
-  size_t worker_threads = opts.threads;
-  if (worker_threads == 0) {
-    size_t hw = std::thread::hardware_concurrency();
-    if (hw < 1) hw = 1;
-    worker_threads = std::max<size_t>(1, hw / opts.shards);
-  }
-  std::vector<gdlog::Subprocess> workers;
-  for (size_t shard = 0; shard < opts.shards; ++shard) {
-    std::vector<std::string> argv = {
-        exe,
-        "--program", opts.program_path,
-        "--grounder", opts.grounder,
-        "--max-outcomes", std::to_string(opts.max_outcomes),
-        "--max-depth", std::to_string(opts.max_depth),
-        "--support-limit", std::to_string(opts.support_limit),
-        "--threads", std::to_string(worker_threads),
-        "--shards", std::to_string(opts.shards),
-        "--shard-prefix-depth", std::to_string(opts.shard_prefix_depth),
-        "--shard-index", std::to_string(shard),
-    };
-    if (!opts.db_path.empty()) {
-      argv.push_back("--db");
-      argv.push_back(opts.db_path);
-    }
-    if (!opts.db_delta_path.empty()) {
-      argv.push_back("--db-delta");
-      argv.push_back(opts.db_delta_path);
-    }
-    if (opts.extensions) argv.push_back("--extensions");
-    if (!opts.optimize) argv.push_back("--no-opt");
-    if (opts.normalgrid_max_cells >= 0) {
-      argv.push_back("--normalgrid-max-cells");
-      argv.push_back(std::to_string(opts.normalgrid_max_cells));
-    }
-    auto worker = gdlog::Subprocess::Spawn(argv);
-    if (!worker.ok()) {
-      std::fprintf(stderr, "error spawning shard %zu: %s\n", shard,
-                   worker.status().ToString().c_str());
-      return 1;
-    }
-    workers.push_back(std::move(*worker));
-  }
-
-  std::vector<gdlog::PartialSpace> partials;
-  std::vector<gdlog::ShardPartialMeta> metas;
-  for (size_t shard = 0; shard < workers.size(); ++shard) {
-    std::string output;
-    auto exit_code = workers[shard].Wait(&output);
-    if (!exit_code.ok()) {
-      std::fprintf(stderr, "error waiting for shard %zu: %s\n", shard,
-                   exit_code.status().ToString().c_str());
-      return 1;
-    }
-    if (*exit_code != 0) {
-      std::fprintf(stderr, "shard %zu worker exited with code %d\n", shard,
-                   *exit_code);
-      return 1;
-    }
-    gdlog::ShardPartialMeta meta;
-    auto partial = gdlog::PartialSpaceFromJson(
-        output, *engine.program().interner(), &meta);
-    if (!partial.ok()) {
-      std::fprintf(stderr, "bad partial from shard %zu: %s\n", shard,
-                   partial.status().ToString().c_str());
-      return 1;
-    }
-    partials.push_back(std::move(*partial));
-    metas.push_back(meta);
-  }
-  return MergeAndReport(engine, opts, std::move(partials), metas);
 }
 
 // Merge mode (--merge FILE...): recombine partials written by workers run
@@ -692,7 +643,6 @@ int RunMonteCarlo(const gdlog::GDatalog& engine, const CliOptions& opts) {
 
 int main(int argc, char** argv) {
   CliOptions opts = ParseArgs(argc, argv);
-  opts.argv0 = argv[0];
 
   std::string program_text = ReadFile(opts.program_path);
   std::string db_text = opts.db_path.empty() ? "" : ReadFile(opts.db_path);
@@ -728,7 +678,7 @@ int main(int argc, char** argv) {
   // (--json, --outcomes, --events, sharding/merge, sampling) keeps the
   // full program so its bytes match a --no-opt run.
   if (!opts.queries.empty() && !opts.json && !opts.print_events &&
-      !opts.print_outcomes && opts.mc_samples == 0 && opts.shards == 0 &&
+      !opts.print_outcomes && opts.mc_samples == 0 &&
       opts.shard_index == kNoShardIndex && opts.merge_files.empty() &&
       opts.optimize) {
     for (const std::string& query : opts.queries) {
@@ -787,6 +737,5 @@ int main(int argc, char** argv) {
 
   if (opts.mc_samples > 0) return RunMonteCarlo(*engine, opts);
   if (!opts.merge_files.empty()) return RunMerge(*engine, opts);
-  if (opts.shards > 0) return RunShardDriver(*engine, opts);
   return RunExact(*engine, opts);
 }

@@ -1,5 +1,5 @@
 // gdlog_load: load generator and smoke-checker for gdlogd. Registers a
-// program, fires N concurrent identical /query requests, verifies every
+// program, fires N concurrent identical /v1/query requests, verifies every
 // response is byte-identical, and reports latency percentiles plus the
 // server's cache counters — the "N identical queries run one chase"
 // single-flight property made observable from outside.
@@ -12,7 +12,7 @@
 //   --program FILE        program in surface syntax  (required)
 //   --db FILE             database file              (default: empty DB)
 //   --grounder MODE       auto | simple | perfect    (default auto)
-//   --requests N          total /query requests      (default 64)
+//   --requests N          total /v1/query requests   (default 64)
 //   --concurrency C       client connections         (default 8)
 //   --include-outcomes    ask for the outcomes section
 //   --include-events      ask for the event table
@@ -23,7 +23,7 @@
 //                         `gdlog_cli --json` via cmp)
 //   --delta FILE          after the query storm, PATCH the file's facts
 //                         onto the program's database and issue one more
-//                         /query. Prints the server's delta report
+//                         /v1/query. Prints the server's delta report
 //                         (rows appended, rules refired, spaces
 //                         revalidated/evicted); with --check, when the
 //                         server revalidated at least one cached space,
@@ -122,7 +122,7 @@ gdlog::Result<gdlog::JsonValue> FetchStats(const std::string& host,
   GDLOG_ASSIGN_OR_RETURN(gdlog::HttpResponse response,
                          client.Request("GET", "/v1/stats"));
   if (response.status != 200) {
-    return gdlog::Status::Internal("/stats returned " +
+    return gdlog::Status::Internal("/v1/stats returned " +
                                    std::to_string(response.status));
   }
   return gdlog::JsonValue::Parse(response.body);
@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
     const gdlog::JsonValue* id_field =
         reg_doc.ok() ? reg_doc->Find("id") : nullptr;
     if (id_field == nullptr || !id_field->is_string()) {
-      std::fprintf(stderr, "error: malformed /programs response\n");
+      std::fprintf(stderr, "error: malformed /v1/programs response\n");
       return 1;
     }
     program_id = id_field->string_value();

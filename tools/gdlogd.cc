@@ -1,5 +1,5 @@
 // gdlogd: the long-lived inference daemon. Clients register a program+DB
-// once (POST /programs) and query it by id; exact results are served
+// once (POST /v1/programs) and query it by id; exact results are served
 // through a fingerprint-keyed outcome-space cache, so repeated identical
 // queries cost a hash lookup instead of a chase.
 //
@@ -16,7 +16,7 @@
 //   --cache-mb N          InferenceCache bound in MiB     (default 256)
 //   --max-body-mb N       request-body cap in MiB         (default 32)
 //   --idle-timeout-ms N   keep-alive idle timeout         (default 30000)
-//   --max-samples N       per-request /sample cap         (default 10^7)
+//   --max-samples N       per-request /v1/sample cap      (default 10^7)
 //   --fleet-workers LIST  comma-separated "host:port" worker addresses;
 //                         becomes the default worker set for /v1/jobs,
 //                         turning this daemon into a fleet coordinator
@@ -34,7 +34,7 @@
 // a coordinator forwards its id to workers, so grepping one id across the
 // fleet's logs reconstructs a whole distributed job.
 //
-// Endpoints (all under /v1/, with deprecated unversioned aliases): POST
+// Endpoints (all under /v1/; any other path is a 404): POST
 // /v1/programs, GET|DELETE /v1/programs/<id>, PUT|PATCH
 // /v1/programs/<id>/db, POST /v1/query, POST /v1/sample, POST /v1/shards,
 // POST /v1/jobs, GET /v1/healthz, GET /v1/stats (see src/server/service.h
