@@ -1,7 +1,8 @@
 // E11 (ablation) — incremental grounding: the chase can extend the parent
 // node's grounding (monotonicity, Definition 3.3) instead of re-deriving
-// it from scratch at every node. Measures exact inference and path
-// sampling under both modes; the outcome spaces are identical (checked).
+// it from scratch at every node. Measures exact inference under both
+// grounders and path sampling under both modes; the exported outcome
+// spaces, models included, are identical (gate).
 //
 // The delta-serving section drives the PR 7 incremental-update path
 // against a live in-process registry: PATCH /db with a 1%-sized fact
@@ -13,8 +14,10 @@
 
 #include <chrono>
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
+#include "gdatalog/export.h"
 #include "gdatalog/sampler.h"
 #include "server/service.h"
 #include "util/json.h"
@@ -196,54 +199,74 @@ void DeltaServingTable() {
 
 void VerificationTable() {
   std::printf("=== E11 (ablation): incremental vs from-scratch grounding ===\n");
-  std::printf("%-10s %-12s %-14s %-14s\n", "database", "outcomes",
-              "P(dominated)", "identical");
-  for (const auto& [label, db] :
-       std::vector<std::pair<std::string, std::string>>{
-           {"clique3", Clique(3)}, {"ring5", Ring(5)}}) {
-    auto engine = MustCreate(kNetworkProgram, db, gdlog::GrounderKind::kSimple);
+  std::printf("%-10s %-9s %-10s %-14s %-14s\n", "database", "grounder",
+              "outcomes", "P(dominated)", "identical");
+  struct Row {
+    const char* label;
+    std::string db;
+    gdlog::GrounderKind kind;
+  };
+  for (const Row& row : std::vector<Row>{
+           {"clique3", Clique(3), gdlog::GrounderKind::kSimple},
+           {"ring5", Ring(5), gdlog::GrounderKind::kSimple},
+           {"clique3", Clique(3), gdlog::GrounderKind::kPerfect},
+           {"clique4", Clique(4), gdlog::GrounderKind::kPerfect}}) {
+    auto engine = MustCreate(kNetworkProgram, row.db, row.kind);
     gdlog::ChaseOptions inc, scr;
     inc.incremental = true;
     scr.incremental = false;
     auto a = MustInfer(engine, inc);
     auto b = MustInfer(engine, scr);
-    bool same = a.outcomes.size() == b.outcomes.size() &&
-                a.finite_mass == b.finite_mass &&
-                a.ProbConsistent() == b.ProbConsistent();
-    std::printf("%-10s %-12zu %-14s %-14s\n", label.c_str(),
-                a.outcomes.size(), a.ProbConsistent().ToString().c_str(),
+    // Identical means the whole exported space, models included.
+    gdlog::JsonExportOptions json;
+    json.include_models = true;
+    bool same = gdlog::OutcomeSpaceToJson(a, engine.translated(),
+                                          engine.program().interner(), json) ==
+                gdlog::OutcomeSpaceToJson(b, engine.translated(),
+                                          engine.program().interner(), json);
+    if (!same) g_gate_failed = true;
+    std::printf("%-10s %-9.*s %-10zu %-14s %-14s\n", row.label,
+                static_cast<int>(engine.grounder().name().size()),
+                engine.grounder().name().data(), a.outcomes.size(),
+                a.ProbConsistent().ToString().c_str(),
                 same ? "YES" : "NO (BUG)");
   }
   std::printf("\n");
 }
 
-void BM_Explore_Incremental(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  auto engine = MustCreate(kNetworkProgram, Ring(n), gdlog::GrounderKind::kSimple);
+/// Exact inference with models off (isolating grounding cost).
+void ExploreNetwork(benchmark::State& state, const std::string& db,
+                    gdlog::GrounderKind kind, bool incremental) {
+  auto engine = MustCreate(kNetworkProgram, db, kind);
   gdlog::ChaseOptions options;
-  options.incremental = true;
-  options.compute_models = false;  // isolate grounding cost
-  for (auto _ : state) {
-    auto space = MustInfer(engine, options);
-    benchmark::DoNotOptimize(space.finite_mass);
-  }
-}
-BENCHMARK(BM_Explore_Incremental)->Arg(4)->Arg(5)->Arg(6)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Explore_FromScratch(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  auto engine = MustCreate(kNetworkProgram, Ring(n), gdlog::GrounderKind::kSimple);
-  gdlog::ChaseOptions options;
-  options.incremental = false;
+  options.incremental = incremental;
   options.compute_models = false;
   for (auto _ : state) {
     auto space = MustInfer(engine, options);
     benchmark::DoNotOptimize(space.finite_mass);
   }
 }
+
+void BM_Explore_Incremental(benchmark::State& state) {
+  ExploreNetwork(state, Ring(static_cast<int>(state.range(0))),
+                 gdlog::GrounderKind::kSimple, /*incremental=*/true);
+}
+BENCHMARK(BM_Explore_Incremental)->Arg(4)->Arg(5)->Arg(6)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_Explore_FromScratch(benchmark::State& state) {
+  ExploreNetwork(state, Ring(static_cast<int>(state.range(0))),
+                 gdlog::GrounderKind::kSimple, /*incremental=*/false);
+}
 BENCHMARK(BM_Explore_FromScratch)->Arg(4)->Arg(5)->Arg(6)
     ->Unit(benchmark::kMillisecond);
+
+/// The perfect grounder's rows (registered in main): E1 clique-n, whose
+/// Extend resumes the stratum the parent stalled in.
+void ExplorePerfectClique(benchmark::State& state, bool incremental) {
+  ExploreNetwork(state, Clique(static_cast<int>(state.range(0))),
+                 gdlog::GrounderKind::kPerfect, incremental);
+}
 
 void BM_Sample_Incremental(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
@@ -374,6 +397,14 @@ BENCHMARK(BM_DeltaQuery_Revalidated)
 int main(int argc, char** argv) {
   VerificationTable();
   DeltaServingTable();
+  benchmark::RegisterBenchmark("BM_Explore_Incremental/perfect_clique",
+                               ExplorePerfectClique, true)
+      ->Arg(4)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_Explore_FromScratch/perfect_clique",
+                               ExplorePerfectClique, false)
+      ->Arg(4)
+      ->Unit(benchmark::kMillisecond);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return g_gate_failed ? 1 : 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <utility>
 
 #include "gdatalog/chase_internal.h"
@@ -38,9 +39,59 @@ uint64_t HashChoices(const ChoiceSet& choices) {
 
 }  // namespace
 
+bool IsHornGrounding(const GroundRuleSet& grounding) {
+  const FactStore& heads = grounding.heads();
+  for (const GroundRule* rule : grounding.rules()) {
+    for (const GroundAtom& atom : rule->negative) {
+      if (heads.Contains(atom)) return false;
+    }
+  }
+  return true;
+}
+
+Result<StableModelSet> HornStableModels(const TranslatedProgram& translated,
+                                        const ChoiceSet& choices,
+                                        const GroundRuleSet& grounding) {
+  const FactStore& heads = grounding.heads();
+  // Heads come from the rules, not heads(): heads() also holds the
+  // matching-only __join atoms of subjoin sharing.
+  std::vector<GroundAtom> atoms;
+  atoms.reserve(grounding.size() + choices.size());
+  for (const GroundRule* rule : grounding.rules()) {
+    // The one candidate model satisfies every rule body, so any ground
+    // constraint fires.
+    if (rule->is_constraint) return StableModelSet{};
+    atoms.push_back(rule->head);
+  }
+  for (const auto& [active, outcome] : choices.entries()) {
+    const DeltaSignature* sig = translated.SignatureByActive(active.predicate);
+    if (sig == nullptr) {
+      return Status::Internal("choice on a non-Active predicate");
+    }
+    if (heads.Contains(active)) {
+      atoms.push_back(ChoiceSet::ResultAtom(sig->result_pred, active, outcome));
+    }
+  }
+  std::sort(atoms.begin(), atoms.end());
+  atoms.erase(std::unique(atoms.begin(), atoms.end()), atoms.end());
+  // Built at exact capacity: cached outcome spaces hold these vectors.
+  StableModelSet models;
+  models.insert(StableModel(std::make_move_iterator(atoms.begin()),
+                            std::make_move_iterator(atoms.end())));
+  return models;
+}
+
 Result<StableModelSet> ChaseEngine::SolveOutcome(
     const ChoiceSet& choices, const GroundRuleSet& grounding,
     uint64_t solver_max_nodes) const {
+  if (IsHornGrounding(grounding)) {
+    // The read-off stands in for the solver's single search node.
+    if (solver_max_nodes == 0) {
+      return Status::BudgetExhausted(
+          "stable-model search exceeded 0 nodes");
+    }
+    return HornStableModels(*translated_, choices, grounding);
+  }
   // Σ ∪ G(Σ): the grounding plus one AtR rule Active → Result per choice.
   std::vector<GroundRule> choice_rules;
   choice_rules.reserve(choices.size());

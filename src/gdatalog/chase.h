@@ -47,8 +47,10 @@ struct ChaseOptions {
   uint64_t trigger_shuffle_seed = 0;
   /// Extend the parent node's grounding instead of re-deriving it from
   /// scratch at every chase node (sound by grounder monotonicity,
-  /// Definition 3.3). Used when the grounder supports it (the simple
-  /// grounder does; the perfect grounder falls back to from-scratch).
+  /// Definition 3.3). Used when the grounder supports it: the simple
+  /// grounder resumes its whole fixpoint, the perfect grounder the stratum
+  /// the parent stalled in (it re-grounds from scratch only where the
+  /// constraint pass already ran). Outcome spaces are identical either way.
   bool incremental = true;
   /// Worker threads for Explore: 0 = one per hardware thread, 1 = serial
   /// (the pre-parallel behavior, no pool spawned). Branches of the chase
@@ -68,6 +70,22 @@ struct ChaseOptions {
   /// fingerprint like num_threads.
   bool profile = false;
 };
+
+/// True iff no negative literal of `grounding` hits its heads(). Every atom
+/// a stable model of Σ ∪ G(Σ) can hold is in heads(), so all negative
+/// literals are then true and the program is Horn. Under the perfect
+/// grounder this holds at every leaf; under the simple grounder it fails
+/// wherever negation is live.
+bool IsHornGrounding(const GroundRuleSet& grounding);
+
+/// sms(Σ ∪ G(Σ)) of a Horn grounding produced by a Grounder for
+/// `choices`, without the solver: the least model — every non-constraint
+/// rule head plus the Result atom of each choice whose Active atom is in
+/// heads() — is the only stable model, unless a ground constraint (whose
+/// body then holds) rules it out. Requires IsHornGrounding(grounding).
+Result<StableModelSet> HornStableModels(const TranslatedProgram& translated,
+                                        const ChoiceSet& choices,
+                                        const GroundRuleSet& grounding);
 
 /// Drives the chase of Definition 4.2: iteratively grounds the program
 /// under the current choice set, applies a trigger (branching over the
@@ -127,9 +145,12 @@ class ChaseEngine {
   const Grounder& grounder() const { return *grounder_; }
   const FactStore& db() const { return *db_; }
 
-  /// sms(Σ ∪ G(Σ)): builds the ground normal program of an outcome
-  /// (grounding plus one Active→Result rule per choice) and enumerates its
-  /// stable models.
+  /// sms(Σ ∪ G(Σ)): the stable models of an outcome's ground program (the
+  /// grounding plus one Active→Result rule per choice). A Horn grounding
+  /// (IsHornGrounding) has its one candidate model read off
+  /// (HornStableModels), which counts as the solver's single search node
+  /// against `solver_max_nodes`; any other builds the normal program and
+  /// enumerates its stable models.
   Result<StableModelSet> SolveOutcome(const ChoiceSet& choices,
                                       const GroundRuleSet& grounding,
                                       uint64_t solver_max_nodes) const;

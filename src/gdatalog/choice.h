@@ -51,7 +51,9 @@ class ChoiceSet {
                                const Value& outcome) {
     GroundAtom result;
     result.predicate = result_pred;
-    result.args = active.args;
+    // Exact capacity: stable models read off a Horn grounding keep it.
+    result.args.reserve(active.args.size() + 1);
+    result.args.assign(active.args.begin(), active.args.end());
     result.args.push_back(outcome);
     return result;
   }

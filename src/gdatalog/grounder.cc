@@ -454,21 +454,28 @@ Status PerfectGrounder::Ground(const ChoiceSet& choices, GroundRuleSet* out,
                                MatchStats* stats) const {
   *out = db_base_->Clone();
   for (const GroundRule& fact : db_tail_) out->Add(fact);
+  return GroundStrata(0, choices, out, stats);
+}
 
+Status PerfectGrounder::GroundStrata(size_t first, const ChoiceSet& choices,
+                                     GroundRuleSet* out,
+                                     MatchStats* stats) const {
   // Stratum attribution for the per-rule profiler: the fixpoint stamps
   // each rule with the sink's current_stratum. Rule→stratum is a static
   // property of Π, so re-stamping across calls is idempotent.
   ChaseProfile* const prof = ProfileScope::Current();
 
-  for (size_t si = 0; si < stratum_rules_.size(); ++si) {
+  for (size_t si = first; si < stratum_rules_.size(); ++si) {
     const std::vector<const CompiledRule*>& stratum = stratum_rules_[si];
     // AtR_Σ ↪ Σ↑C_{i-1}: grounding stalls until every Active atom produced
     // by earlier strata has a recorded choice (Definition 5.1).
     for (const DeltaSignature& sig : translated_->signatures()) {
       for (const Tuple& row : out->heads().Rows(sig.active_pred)) {
         if (!choices.Defined(GroundAtom{sig.active_pred, row})) {
-          if (prof != nullptr) prof->current_stratum = -1;
-          return Status::OK();  // Σ↑C_i = Σ↑C_{i-1} for all later strata.
+          // Σ↑C_i = Σ↑C_{i-1} for all later strata; Extend() resumes at
+          // stratum si - 1, which derived the unchosen atom.
+          out->set_resume_point(si);
+          return Status::OK();
         }
       }
     }
@@ -482,6 +489,7 @@ Status PerfectGrounder::Ground(const ChoiceSet& choices, GroundRuleSet* out,
     if (prof != nullptr) prof->current_stratum = -1;
     GDLOG_RETURN_IF_ERROR(stratum_status);
   }
+  out->set_resume_point(stratum_rules_.size());
   if (!constraint_rules_.empty()) {
     GDLOG_RETURN_IF_ERROR(RunGroundingFixpoint(*translated_, constraint_rules_,
                                                constraint_body_preds_,
@@ -490,6 +498,35 @@ Status PerfectGrounder::Ground(const ChoiceSet& choices, GroundRuleSet* out,
                                                /*resume=*/false, stats));
   }
   return Status::OK();
+}
+
+Status PerfectGrounder::Extend(const ChoiceSet& choices,
+                               const GroundAtom& new_active,
+                               GroundRuleSet* out) const {
+  // `new_active` was a trigger of `out`, so `out` stalled right after the
+  // stratum t that derived it — or, when t is the last stratum, ran the
+  // constraint pass on it, which a resume cannot take back.
+  (void)new_active;
+  const size_t next = out->resume_point();
+  if (next == 0 || (next == stratum_rules_.size() &&
+                    !constraint_rules_.empty())) {
+    return Ground(choices, out);
+  }
+  const size_t t = next - 1;
+  // Strata below t are complete and unchanged, and t's negative literals
+  // read only them (Active/Result names are reserved, so no rule negates
+  // a choice), so t's fixpoint is monotone in the choice set: resume it
+  // semi-naively from the new Result atom (the fixpoint's cascade pre-pass
+  // inserts it), then ground t+1… as Ground() would.
+  ChaseProfile* const prof = ProfileScope::Current();
+  if (prof != nullptr) prof->current_stratum = static_cast<int>(t);
+  Status status = RunGroundingFixpoint(*translated_, stratum_rules_[t],
+                                       stratum_body_preds_[t], choices,
+                                       /*check_negative=*/true, out,
+                                       /*resume=*/true);
+  if (prof != nullptr) prof->current_stratum = -1;
+  GDLOG_RETURN_IF_ERROR(status);
+  return GroundStrata(t + 1, choices, out, /*stats=*/nullptr);
 }
 
 std::vector<GroundAtom> FindTriggers(const TranslatedProgram& translated,

@@ -30,7 +30,8 @@ class Grounder {
   /// Computes G(Σ) for the choice set `choices`, appending the ground rules
   /// (including the database facts of D as body-less rules) to a fresh
   /// `out`. On return out->heads() is the matching instance
-  /// heads(G(Σ) ∪ Σ), which is all the state Extend() needs to resume.
+  /// heads(G(Σ) ∪ Σ) which, with out->resume_point(), is all the state
+  /// Extend() needs to resume.
   /// With `stats` non-null, the compiled-join counters of this grounding
   /// are accumulated into it.
   virtual Status Ground(const ChoiceSet& choices, GroundRuleSet* out,
@@ -40,11 +41,14 @@ class Grounder {
   /// set (Definition 3.3), so G(Σ ∪ {c}) can be computed by resuming the
   /// fixpoint from G(Σ) with c's Result atom as the only new fact — the
   /// chase exploits this to avoid re-deriving the grounding at every node.
+  /// Both built-in grounders support it; a grounder that does not is
+  /// re-grounded from scratch at every node.
   virtual bool SupportsIncremental() const { return false; }
 
   /// Extends `out` — produced by Ground()/Extend() for `choices` minus its
-  /// most recent assignment `new_active` — to the grounding of the full
-  /// `choices`. Only valid when SupportsIncremental().
+  /// most recent assignment `new_active`, where `new_active` was one of
+  /// that grounding's triggers — to the grounding of the full `choices`.
+  /// Only valid when SupportsIncremental().
   virtual Status Extend(const ChoiceSet& choices, const GroundAtom& new_active,
                         GroundRuleSet* out) const {
     (void)choices;
@@ -126,6 +130,15 @@ class SimpleGrounder : public Grounder {
 /// does not match heads so far (h(B-(σ)) ∩ heads = ∅); grounding of later
 /// strata stalls until every Active atom produced so far has a choice
 /// (AtR_Σ ↪ Σ↑C_{i-1}).
+///
+/// Incremental: a grounding with a trigger stalled right after the stratum
+/// t that derived it (recorded as resume_point() = t + 1), so no later
+/// stratum and no constraint has seen it yet. Extend() resumes stratum t's
+/// fixpoint semi-naively from the new Result atom — sound because t's
+/// negative literals read only the lower, complete strata — and then
+/// grounds strata t+1… and the constraint pass as Ground() does. It falls
+/// back to Ground() only when the constraint pass already ran (t is the
+/// last stratum and Π has constraints).
 class PerfectGrounder : public Grounder {
  public:
   /// `pi` is the original (desugared, plain-constraint-free) program the
@@ -149,6 +162,10 @@ class PerfectGrounder : public Grounder {
   Status Ground(const ChoiceSet& choices, GroundRuleSet* out,
                 MatchStats* stats = nullptr) const override;
 
+  bool SupportsIncremental() const override { return true; }
+  Status Extend(const ChoiceSet& choices, const GroundAtom& new_active,
+                GroundRuleSet* out) const override;
+
   size_t stratum_count() const { return stratum_rules_.size(); }
 
  private:
@@ -160,6 +177,13 @@ class PerfectGrounder : public Grounder {
   static Result<std::unique_ptr<PerfectGrounder>> Build(
       const Program& pi, const TranslatedProgram* translated,
       const FactStore* db);
+
+  /// The tail Ground() and Extend() share: strata `first`… (each behind
+  /// the stall check of Definition 5.1), then the constraint pass. `out`
+  /// must hold every stratum below `first` grounded; on return its
+  /// resume_point() says where grounding stopped.
+  Status GroundStrata(size_t first, const ChoiceSet& choices,
+                      GroundRuleSet* out, MatchStats* stats) const;
 
   const TranslatedProgram* translated_;
   const FactStore* db_;

@@ -165,12 +165,20 @@ class GroundRuleSet {
   /// should treat heads() as derived state.
   FactStore* mutable_heads() { return &heads_; }
 
+  /// Grounder-private progress marker, carried by Clone(). The perfect
+  /// grounder stores the first stratum it has not grounded (or its stratum
+  /// count once the constraint pass ran), which tells its Extend() which
+  /// stratum to resume. 0 until a grounder sets it.
+  size_t resume_point() const { return resume_point_; }
+  void set_resume_point(size_t point) { resume_point_ = point; }
+
   /// Deep copy of the rule set; the matching instance copies copy-on-write
   /// (a pointer per predicate). Used by the incremental chase to branch
   /// grounding state per child.
   GroundRuleSet Clone() const {
     GroundRuleSet copy;
     copy.heads_ = heads_;
+    copy.resume_point_ = resume_point_;
     copy.rules_.reserve(rules_.size());
     for (const GroundRule* rule : rules_) {
       auto [it, inserted] = copy.set_.insert(*rule);
@@ -193,6 +201,7 @@ class GroundRuleSet {
   std::unordered_set<GroundRule, GroundRuleHash> set_;
   std::vector<const GroundRule*> rules_;
   FactStore heads_;
+  size_t resume_point_ = 0;
 };
 
 }  // namespace gdlog

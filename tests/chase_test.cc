@@ -1,7 +1,8 @@
 // Chase-tree exploration (§4): order independence (Lemma 4.4), outcome
 // bijection (Lemma 4.5 / Theorem 4.6), budgets and the error event Ω∞,
-// BCKOV agreement on positive programs (Theorem C.4), and the Monte-Carlo
-// sampler against exact inference.
+// BCKOV agreement on positive programs (Theorem C.4), the Monte-Carlo
+// sampler against exact inference, and the Horn read-off against the
+// stable-model solver.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +13,8 @@
 #include "gdatalog/compare.h"
 #include "gdatalog/engine.h"
 #include "gdatalog/sampler.h"
+#include "random_stratified.h"
+#include "stable/solver.h"
 
 namespace gdlog {
 namespace {
@@ -403,6 +406,128 @@ TEST(Sampler, DeterministicGivenSeed) {
   auto b = estimator.EstimateProbConsistent(200, 42);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->mean, b->mean);
+}
+
+// ---------------------------------------------------------------------------
+// Horn read-off vs the stable-model solver
+// ---------------------------------------------------------------------------
+
+constexpr const char* kQuarantineProgram =
+    "infected(Y, flip<0.3>[X, Y]) :- infected(X, 1), connected(X, Y).\n"
+    "quarantined(X) :- infected(X, 1), not released(X).\n"
+    "released(X) :- infected(X, 1), not quarantined(X).\n"
+    ":- released(X), released(Y), connected(X, Y).\n";
+
+/// Σ ∪ G(Σ) of an outcome as a ground rule set: its grounding plus one
+/// Active → Result rule per choice.
+GroundRuleSet OutcomeProgram(const GDatalog& engine,
+                             const PossibleOutcome& outcome) {
+  GroundRuleSet program = outcome.grounding->Clone();
+  for (const auto& [active, value] : outcome.choices.entries()) {
+    const DeltaSignature* sig =
+        engine.translated().SignatureByActive(active.predicate);
+    GroundRule rule;
+    rule.head = ChoiceSet::ResultAtom(sig->result_pred, active, value);
+    rule.positive.push_back(active);
+    program.Add(std::move(rule));
+  }
+  return program;
+}
+
+struct ReadOffTally {
+  size_t horn = 0;    ///< leaves whose models were read off
+  size_t solved = 0;  ///< leaves that went to the solver
+};
+
+/// At every leaf of `engine`'s chase: SolveOutcome equals the solver run on
+/// Σ ∪ G(Σ); where the Horn check holds, so does the read-off itself, and
+/// the budget behaves as the solver's one search node would.
+void CheckReadOffAgainstSolver(const GDatalog& engine, ReadOffTally* tally) {
+  ChaseOptions chase;
+  chase.compute_models = false;
+  chase.keep_groundings = true;
+  chase.num_threads = 1;
+  auto space = engine.Infer(chase);
+  ASSERT_TRUE(space.ok()) << space.status().ToString();
+  const uint64_t budget = chase.solver_max_nodes;
+  for (const PossibleOutcome& outcome : space->outcomes) {
+    GroundRuleSet program = OutcomeProgram(engine, outcome);
+    auto want = AllStableModels(program);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    auto got = engine.chase().SolveOutcome(outcome.choices, *outcome.grounding,
+                                           budget);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, *want);
+    if (!IsHornGrounding(*outcome.grounding)) {
+      ++tally->solved;
+      continue;
+    }
+    ++tally->horn;
+    auto read = HornStableModels(engine.translated(), outcome.choices,
+                                 *outcome.grounding);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(*read, *want);
+    for (uint64_t nodes : {uint64_t{0}, uint64_t{1}}) {
+      StableModelEnumerator::Options options;
+      options.max_nodes = nodes;
+      auto solver = AllStableModels(program, options);
+      auto read_off = engine.chase().SolveOutcome(
+          outcome.choices, *outcome.grounding, nodes);
+      EXPECT_EQ(read_off.status().code(), solver.status().code())
+          << "max_nodes " << nodes;
+      EXPECT_EQ(read_off.status().ToString(), solver.status().ToString());
+    }
+  }
+}
+
+Result<GDatalog> MakeEngine(const std::string& program, const std::string& db,
+                            GrounderKind kind) {
+  GDatalog::Options options;
+  options.grounder = kind;
+  return GDatalog::Create(program, db, std::move(options));
+}
+
+TEST(HornReadOff, MatchesSolverOnRandomStratifiedPrograms) {
+  ReadOffTally perfect;
+  ReadOffTally simple;
+  for (uint64_t seed = 1; seed < 41; ++seed) {
+    testing_random::RandomStratified p =
+        testing_random::MakeRandomStratified(seed);
+    for (GrounderKind kind : {GrounderKind::kPerfect, GrounderKind::kSimple}) {
+      auto engine = MakeEngine(p.program, p.db, kind);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      CheckReadOffAgainstSolver(
+          *engine, kind == GrounderKind::kPerfect ? &perfect : &simple);
+      ASSERT_FALSE(HasFailure()) << "seed " << seed << "\n" << p.program;
+    }
+  }
+  // The perfect grounder only emits instances whose negative body misses
+  // the complete lower strata, so its leaves are all Horn; the simple
+  // grounder keeps live negation, so the solver still runs there.
+  EXPECT_GT(perfect.horn, 0u);
+  EXPECT_EQ(perfect.solved, 0u);
+  EXPECT_GT(simple.solved, 0u);
+}
+
+TEST(HornReadOff, QuarantineProgramKeepsTheSolver) {
+  // Non-stratified: released(X) is in heads() wherever quarantined(X) is
+  // negated, so no leaf passes the Horn check.
+  auto engine = MakeEngine(kQuarantineProgram, Clique(3), GrounderKind::kAuto);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_EQ(engine->grounder().name(), "simple");
+  ReadOffTally tally;
+  CheckReadOffAgainstSolver(*engine, &tally);
+  EXPECT_GT(tally.solved, 0u);
+  EXPECT_EQ(tally.horn, 0u);
+}
+
+TEST(HornReadOff, NetworkLeavesAreReadOff) {
+  auto engine = MakeEngine(kNetworkProgram, Clique(3), GrounderKind::kPerfect);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ReadOffTally tally;
+  CheckReadOffAgainstSolver(*engine, &tally);
+  EXPECT_GT(tally.horn, 0u);
+  EXPECT_EQ(tally.solved, 0u);
 }
 
 }  // namespace

@@ -286,15 +286,33 @@ TEST(DeltaEngine, RemovalRejectedAtEngineLevel) {
   EXPECT_EQ(inc.status().code(), StatusCode::kUnsupported);
 }
 
+/// A grounder that leaves the incremental protocol at its defaults.
+class FromScratchGrounder : public Grounder {
+ public:
+  std::string_view name() const override { return "from-scratch"; }
+  Status Ground(const ChoiceSet&, GroundRuleSet*,
+                MatchStats* = nullptr) const override {
+    return Status::OK();
+  }
+};
+
 TEST(DeltaGrounder, ExtendStubNamesTheGrounder) {
-  auto engine = MakeEngine(kNetworkProgram, Clique(3),
-                           GrounderKind::kPerfect);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  ASSERT_FALSE(engine->grounder().SupportsIncremental());
+  // Both built-in grounders extend, on delta-extension engines too; the
+  // base-class stub stays for grounders that do not, and names them.
+  for (GrounderKind kind : {GrounderKind::kSimple, GrounderKind::kPerfect}) {
+    auto base = MakeEngine(kNetworkProgram, Clique(3), kind);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    auto inc = GDatalog::WithDatabaseDelta(*base, "connected(3,4).\n");
+    ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+    EXPECT_TRUE(base->grounder().SupportsIncremental());
+    EXPECT_TRUE(inc->grounder().SupportsIncremental());
+  }
+  FromScratchGrounder stub;
+  ASSERT_FALSE(stub.SupportsIncremental());
   GroundRuleSet out;
-  Status status = engine->grounder().Extend(ChoiceSet(), GroundAtom(), &out);
+  Status status = stub.Extend(ChoiceSet(), GroundAtom(), &out);
   EXPECT_EQ(status.code(), StatusCode::kUnsupported);
-  EXPECT_NE(status.message().find("perfect"), std::string::npos)
+  EXPECT_NE(status.message().find("from-scratch"), std::string::npos)
       << status.message();
 }
 

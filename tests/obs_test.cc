@@ -231,6 +231,44 @@ TEST(ChaseProfileCounts, IdenticalAcrossThreadCounts) {
   EXPECT_GT(derivations, 0u);
 }
 
+TEST(ChaseProfileCounts, PerfectGrounderStampsEveryRuleStratum) {
+  // Clique-4 under the perfect grounder: every non-root node resumes the
+  // infected stratum in Extend(), which must stamp the stratum as Ground()
+  // does — only constraint rows may stay at -1.
+  std::string db = "infected(1, 1).\n";
+  for (int i = 1; i <= 4; ++i) {
+    db += "router(" + std::to_string(i) + ").\n";
+    for (int j = 1; j <= 4; ++j) {
+      if (i != j) {
+        db += "connected(" + std::to_string(i) + "," + std::to_string(j) +
+              ").\n";
+      }
+    }
+  }
+  GDatalog::Options options;
+  options.grounder = GrounderKind::kPerfect;
+  auto engine = GDatalog::Create(kNetworkProgram, db, std::move(options));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_TRUE(engine->grounder().SupportsIncremental());
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ChaseOptions chase;
+    chase.num_threads = threads;
+    chase.profile = true;
+    ChaseProfile profile;
+    ASSERT_TRUE(engine->Infer(chase, &profile).ok());
+    const std::vector<Rule>& rules = engine->translated().sigma().rules();
+    size_t stamped = 0;
+    for (size_t i = 0; i < rules.size(); ++i) {
+      if (rules[i].is_constraint) continue;
+      ASSERT_LT(i, profile.rules.size());
+      EXPECT_GE(profile.rules[i].stratum, 0)
+          << "rule " << i << " threads " << threads;
+      ++stamped;
+    }
+    EXPECT_GE(stamped, 3u);
+  }
+}
+
 TEST(ChaseProfileCounts, TableLabelsRulesAndFlagsTimes) {
   ChaseProfile profile = ProfileAt(1);
   auto engine = GDatalog::Create(kNetworkProgram, kClique3Db);
