@@ -659,9 +659,7 @@ Result<PartialSpace> PartialDecoder::Decode(ShardPartialMeta* meta) {
                         "'");
     }
   }
-  // Mergers size per-shard bookkeeping by num_shards; an absurd value from
-  // a corrupt file must fail here, not as an allocation crash downstream.
-  constexpr size_t kMaxShards = size_t{1} << 20;
+  // Mergers size per-shard bookkeeping by num_shards.
   if (meta->num_shards < 1 || meta->num_shards > kMaxShards ||
       meta->shard_index >= meta->num_shards) {
     return FieldError("shard coordinates out of range");

@@ -12,6 +12,12 @@
 
 namespace gdlog {
 
+/// The widest shard plan any layer accepts: the CLI's --shards, the
+/// fleet's "shards" field and the partial decoder all refuse more. Plans
+/// size per-shard bookkeeping by the shard count, so an absurd value must
+/// fail at the boundary, not as an allocation crash downstream.
+inline constexpr size_t kMaxShards = size_t{1} << 20;
+
 /// One frontier node of the shard plan: a chase-tree node identified by its
 /// choice-set prefix. Its depth is choices.size() — every chase edge records
 /// exactly one choice — so the prefix alone reconstructs the node (the

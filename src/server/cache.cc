@@ -45,7 +45,8 @@ std::string InferenceCache::Fingerprint(std::string_view program_id,
   return key;
 }
 
-size_t InferenceCache::ApproxBytes(const OutcomeSpace& space) {
+template <>
+size_t ByteLruCache<OutcomeSpace>::ApproxBytes(const OutcomeSpace& space) {
   // Heap-node overheads are rough constants; the point is a stable,
   // monotone estimate, not an allocator audit.
   constexpr size_t kNodeOverhead = 48;
@@ -66,7 +67,13 @@ size_t InferenceCache::ApproxBytes(const OutcomeSpace& space) {
   return bytes;
 }
 
-Result<std::shared_ptr<const OutcomeSpace>> InferenceCache::LookupOrCompute(
+template <>
+size_t ByteLruCache<std::string>::ApproxBytes(const std::string& value) {
+  return value.size();
+}
+
+template <typename V>
+Result<std::shared_ptr<const V>> ByteLruCache<V>::LookupOrCompute(
     const std::string& key, const ComputeFn& compute) {
   std::shared_ptr<Inflight> flight;
   {
@@ -75,32 +82,31 @@ Result<std::shared_ptr<const OutcomeSpace>> InferenceCache::LookupOrCompute(
     if (it != entries_.end()) {
       ++hits_;
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.space;
+      return it->second.value;
     }
     auto in = inflight_.find(key);
     if (in != inflight_.end()) {
-      // Someone else is already chasing this key: wait for their result
-      // instead of burning a second chase on identical work.
+      // Someone else is already computing this key: wait for their result
+      // instead of burning a second compute on identical work.
       ++coalesced_;
       std::shared_ptr<Inflight> theirs = in->second;
       cv_.wait(lock, [&] { return theirs->done; });
       if (!theirs->status.ok()) return theirs->status;
-      return theirs->space;
+      return theirs->value;
     }
     ++misses_;
     flight = std::make_shared<Inflight>();
     inflight_.emplace(key, flight);
   }
 
-  // The chase runs without the lock: concurrent lookups of *other* keys
+  // The compute runs without the lock: concurrent lookups of *other* keys
   // proceed, and same-key lookups block on the inflight entry above.
-  Result<OutcomeSpace> result = compute();
+  Result<V> result = compute();
 
   std::lock_guard<std::mutex> lock(mu_);
   if (result.ok()) {
-    flight->space =
-        std::make_shared<const OutcomeSpace>(std::move(*result));
-    InsertLocked(key, flight->space);
+    flight->value = std::make_shared<const V>(std::move(*result));
+    InsertLocked(key, flight->value);
   } else {
     flight->status = result.status();
   }
@@ -108,42 +114,52 @@ Result<std::shared_ptr<const OutcomeSpace>> InferenceCache::LookupOrCompute(
   inflight_.erase(key);
   cv_.notify_all();
   if (!flight->status.ok()) return flight->status;
-  return flight->space;
+  return flight->value;
 }
 
-void InferenceCache::InsertLocked(
-    const std::string& key, std::shared_ptr<const OutcomeSpace> space) {
-  size_t bytes = ApproxBytes(*space);
-  if (bytes > capacity_bytes_) return;  // would evict everything for nothing
+template <typename V>
+bool ByteLruCache<V>::InsertLocked(const std::string& key,
+                                   std::shared_ptr<const V> value) {
+  auto present = entries_.find(key);
+  if (present != entries_.end()) {
+    // A key names one deterministic value, so the present entry already
+    // holds these bytes: keep it (and its charge), refresh its recency.
+    lru_.splice(lru_.begin(), lru_, present->second.lru_it);
+    return false;
+  }
+  size_t bytes = key.size() + ApproxBytes(*value);
+  // A capacity of 0 stores nothing; an oversized value would evict
+  // everything for nothing.
+  if (capacity_bytes_ == 0 || bytes > capacity_bytes_) return false;
   lru_.push_front(key);
-  EntryData data;
-  data.space = std::move(space);
+  EntryData& data = entries_[key];
+  data.value = std::move(value);
   data.bytes = bytes;
   data.lru_it = lru_.begin();
-  entries_[key] = std::move(data);
   bytes_ += bytes;
   ++inserts_;
   while (bytes_ > capacity_bytes_ && lru_.size() > 1) {
-    auto victim = entries_.find(lru_.back());
     ++evictions_;
-    EraseLocked(victim);
+    EraseLocked(entries_.find(lru_.back()));
   }
+  return true;
 }
 
-void InferenceCache::EraseLocked(
-    std::unordered_map<std::string, EntryData>::iterator it) {
+template <typename V>
+void ByteLruCache<V>::EraseLocked(
+    typename std::unordered_map<std::string, EntryData>::iterator it) {
   bytes_ -= it->second.bytes;
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
 }
 
-size_t InferenceCache::Revalidate(std::string_view program_prefix,
-                                  std::string_view old_prefix,
-                                  std::string_view new_prefix,
-                                  const PatchFn& patch, size_t* evicted) {
+template <typename V>
+size_t ByteLruCache<V>::Revalidate(std::string_view program_prefix,
+                                   std::string_view old_prefix,
+                                   std::string_view new_prefix,
+                                   const PatchFn& patch, size_t* evicted) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, std::shared_ptr<const OutcomeSpace>>>
-      moved;
+  std::vector<std::pair<std::string, std::shared_ptr<const V>>> moved;
   size_t dropped = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {
     std::string_view key = it->first;
@@ -154,7 +170,7 @@ size_t InferenceCache::Revalidate(std::string_view program_prefix,
     if (key.substr(0, old_prefix.size()) == old_prefix) {
       moved.emplace_back(
           std::string(new_prefix) + std::string(key.substr(old_prefix.size())),
-          it->second.space);
+          it->second.value);
     } else {
       ++evictions_;
       ++dropped;
@@ -163,24 +179,25 @@ size_t InferenceCache::Revalidate(std::string_view program_prefix,
     EraseLocked(victim);
   }
   size_t count = 0;
-  for (auto& [key, space] : moved) {
-    std::shared_ptr<const OutcomeSpace> patched =
-        patch ? patch(*space) : space;
+  for (auto& [key, value] : moved) {
+    std::shared_ptr<const V> patched = patch ? patch(*value) : value;
     if (patched == nullptr) {
       ++evictions_;
       ++dropped;
       continue;
     }
-    if (entries_.count(key) != 0) continue;  // fresh compute landed first
-    InsertLocked(key, std::move(patched));
-    ++count;
-    ++revalidated_;
+    // Skipped when a fresh compute landed first.
+    if (InsertLocked(key, std::move(patched))) {
+      ++count;
+      ++revalidated_;
+    }
   }
   if (evicted != nullptr) *evicted = dropped;
   return count;
 }
 
-size_t InferenceCache::ErasePrefix(std::string_view prefix) {
+template <typename V>
+size_t ByteLruCache<V>::ErasePrefix(std::string_view prefix) {
   std::lock_guard<std::mutex> lock(mu_);
   size_t dropped = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {
@@ -196,14 +213,16 @@ size_t InferenceCache::ErasePrefix(std::string_view prefix) {
   return dropped;
 }
 
-void InferenceCache::Clear() {
+template <typename V>
+void ByteLruCache<V>::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
   lru_.clear();
   bytes_ = 0;
 }
 
-InferenceCache::Stats InferenceCache::stats() const {
+template <typename V>
+typename ByteLruCache<V>::Stats ByteLruCache<V>::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats stats;
   stats.hits = hits_;
@@ -217,5 +236,8 @@ InferenceCache::Stats InferenceCache::stats() const {
   stats.capacity_bytes = capacity_bytes_;
   return stats;
 }
+
+template class ByteLruCache<OutcomeSpace>;
+template class ByteLruCache<std::string>;
 
 }  // namespace gdlog

@@ -16,6 +16,121 @@
 
 namespace gdlog {
 
+/// gdlogd's one cache: a byte-bounded LRU from string keys to shared
+/// immutable values, with single-flight deduplication — N concurrent
+/// lookups of the same key run one compute, and the other N-1 block until
+/// it lands (counted as `coalesced`).
+///
+/// Both instances key a deterministic result: the InferenceCache below
+/// (fingerprint → OutcomeSpace) and the fleet worker's partial cache
+/// (fingerprint + plan coordinates + shard index → serialized partial
+/// line). A key therefore names one value, which fixes the policy for an
+/// insert of a present key (a compute that raced a Revalidate landing
+/// second): the present entry already holds the same bytes, so it is kept
+/// and its recency refreshed.
+///
+/// An entry is charged `key.size() + ApproxBytes(value)`. A value whose
+/// charge exceeds the whole capacity is returned uncached, so a capacity of
+/// 0 stores nothing (single-flight still applies).
+///
+/// Instantiated for OutcomeSpace and std::string only (cache.cc).
+template <typename V>
+class ByteLruCache {
+ public:
+  struct Stats {
+    uint64_t hits = 0;         ///< Served from the cache.
+    uint64_t misses = 0;       ///< Led a compute.
+    uint64_t coalesced = 0;    ///< Waited on another lookup's compute.
+    uint64_t evictions = 0;    ///< Entries dropped to respect the bound.
+    uint64_t inserts = 0;      ///< Entries ever stored.
+    uint64_t revalidated = 0;  ///< Entries moved to a new lineage by
+                               ///< Revalidate() instead of evicted.
+    size_t entries = 0;        ///< Current entry count.
+    size_t bytes = 0;          ///< Current charge, keys included.
+    size_t capacity_bytes = 0;
+  };
+
+  using ComputeFn = std::function<Result<V>()>;
+  using PatchFn = std::function<std::shared_ptr<const V>(const V&)>;
+
+  explicit ByteLruCache(size_t capacity_bytes)
+      : capacity_bytes_(capacity_bytes) {}
+
+  /// Returns the cached value for `key`, or runs `compute` (outside the
+  /// cache lock) and caches its result. Concurrent callers with the same
+  /// key share one compute; a failed compute is returned to every waiter
+  /// and never cached.
+  Result<std::shared_ptr<const V>> LookupOrCompute(const std::string& key,
+                                                   const ComputeFn& compute);
+
+  /// Drops every entry whose key starts with `prefix` (keys embed the
+  /// program id first, so this is "forget program X"). Returns the number
+  /// dropped; they count as evictions.
+  size_t ErasePrefix(std::string_view prefix);
+
+  void Clear();
+
+  Stats stats() const;
+
+  /// Lineage-keyed revalidation (the PATCH /db path for deltas that
+  /// provably cannot change any grounding fixpoint): every entry under
+  /// `old_prefix` is re-keyed under `new_prefix` (same suffix) after
+  /// passing its value through `patch`; entries under `program_prefix` but
+  /// not `old_prefix` (older revisions/lineages) are dropped as ordinary
+  /// evictions. A `patch` returning nullptr demotes that entry to an
+  /// eviction; a re-keyed entry whose new key is already present (a fresh
+  /// compute landed first) is skipped. Returns the number revalidated;
+  /// `evicted`, when non-null, receives the number dropped.
+  size_t Revalidate(std::string_view program_prefix,
+                    std::string_view old_prefix, std::string_view new_prefix,
+                    const PatchFn& patch, size_t* evicted = nullptr);
+
+  /// Approximate heap footprint of a value (a space's outcomes, choice
+  /// sets and stable models; a string's size()); with the key's length,
+  /// the unit of the LRU bound.
+  static size_t ApproxBytes(const V& value);
+
+ private:
+  struct EntryData {
+    std::shared_ptr<const V> value;
+    size_t bytes = 0;
+    std::list<std::string>::iterator lru_it;
+  };
+
+  struct Inflight {
+    bool done = false;
+    Status status;
+    std::shared_ptr<const V> value;
+  };
+
+  /// Under mu_: stores `value` unless `key` is present (then only its
+  /// recency is refreshed) or it exceeds the capacity, and evicts from the
+  /// LRU tail until within bounds. Returns whether it stored.
+  bool InsertLocked(const std::string& key, std::shared_ptr<const V> value);
+  void EraseLocked(
+      typename std::unordered_map<std::string, EntryData>::iterator it);
+
+  const size_t capacity_bytes_;
+
+  mutable std::mutex mu_;
+  std::condition_variable cv_;  ///< signaled when an inflight completes
+  std::unordered_map<std::string, EntryData> entries_;
+  std::list<std::string> lru_;  ///< front = most recent
+  std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;
+  size_t bytes_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  uint64_t coalesced_ = 0;
+  uint64_t evictions_ = 0;
+  uint64_t inserts_ = 0;
+  uint64_t revalidated_ = 0;
+};
+
+template <>
+size_t ByteLruCache<OutcomeSpace>::ApproxBytes(const OutcomeSpace& space);
+template <>
+size_t ByteLruCache<std::string>::ApproxBytes(const std::string& value);
+
 /// Maps a canonical fingerprint of (program id, DB revision, the
 /// semantics-affecting ChaseOptions) to a shared immutable OutcomeSpace.
 ///
@@ -27,47 +142,9 @@ namespace gdlog {
 /// result, not the computation. When a budget does bind the space is one
 /// valid truncation; the cache serves whichever was computed first, which
 /// is no weaker than what a fresh run promises.
-///
-/// Concurrency: LRU-bounded by an approximate memory footprint, with
-/// single-flight deduplication — N concurrent lookups of the same key run
-/// one chase, and the other N-1 block until it lands (counted as
-/// `coalesced`).
-class InferenceCache {
+class InferenceCache : public ByteLruCache<OutcomeSpace> {
  public:
-  struct Stats {
-    uint64_t hits = 0;         ///< Served from the cache.
-    uint64_t misses = 0;       ///< Led a compute (one chase each).
-    uint64_t coalesced = 0;    ///< Waited on another lookup's compute.
-    uint64_t evictions = 0;    ///< Entries dropped to respect the bound.
-    uint64_t inserts = 0;      ///< Entries ever stored.
-    uint64_t revalidated = 0;  ///< Entries moved to a new lineage by
-                               ///< Revalidate() instead of evicted.
-    size_t entries = 0;        ///< Current entry count.
-    size_t bytes = 0;          ///< Current approximate footprint.
-    size_t capacity_bytes = 0;
-  };
-
-  using ComputeFn = std::function<Result<OutcomeSpace>()>;
-
-  explicit InferenceCache(size_t capacity_bytes)
-      : capacity_bytes_(capacity_bytes) {}
-
-  /// Returns the cached space for `key`, or runs `compute` (outside the
-  /// cache lock) and caches its result. Concurrent callers with the same
-  /// key share one compute; a failed compute is returned to every waiter
-  /// and never cached. A space larger than the whole capacity is returned
-  /// uncached.
-  Result<std::shared_ptr<const OutcomeSpace>> LookupOrCompute(
-      const std::string& key, const ComputeFn& compute);
-
-  /// Drops every entry whose key starts with `prefix` (fingerprints embed
-  /// the program id first, so this is "forget program X"). Returns the
-  /// number dropped; they count as evictions.
-  size_t ErasePrefix(std::string_view prefix);
-
-  void Clear();
-
-  Stats stats() const;
+  using ByteLruCache::ByteLruCache;
 
   /// The identity half of a fingerprint: program id, DB revision and the
   /// delta-lineage digest (empty for a freshly registered or fully
@@ -92,58 +169,6 @@ class InferenceCache {
                                  const ChaseOptions& options) {
     return Fingerprint(program_id, revision, "", options);
   }
-
-  /// Lineage-keyed revalidation (the PATCH /db path for deltas that
-  /// provably cannot change any grounding fixpoint): every entry under
-  /// `old_prefix` is re-keyed under `new_prefix` (same option suffix)
-  /// after passing its space through `patch`; entries under
-  /// `program_prefix` but not `old_prefix` (older revisions/lineages) are
-  /// dropped as ordinary evictions. A `patch` returning nullptr demotes
-  /// that entry to an eviction; a re-keyed entry whose new key is already
-  /// present (a fresh compute landed first) is skipped. Returns the number
-  /// revalidated; `evicted`, when non-null, receives the number dropped.
-  using PatchFn =
-      std::function<std::shared_ptr<const OutcomeSpace>(const OutcomeSpace&)>;
-  size_t Revalidate(std::string_view program_prefix,
-                    std::string_view old_prefix, std::string_view new_prefix,
-                    const PatchFn& patch, size_t* evicted = nullptr);
-
-  /// Approximate heap footprint of a space (outcomes, choice sets, stable
-  /// models) — the unit of the LRU bound.
-  static size_t ApproxBytes(const OutcomeSpace& space);
-
- private:
-  struct EntryData {
-    std::shared_ptr<const OutcomeSpace> space;
-    size_t bytes = 0;
-    std::list<std::string>::iterator lru_it;
-  };
-
-  struct Inflight {
-    bool done = false;
-    Status status;
-    std::shared_ptr<const OutcomeSpace> space;
-  };
-
-  /// Inserts under mu_ and evicts from the LRU tail until within bounds.
-  void InsertLocked(const std::string& key,
-                    std::shared_ptr<const OutcomeSpace> space);
-  void EraseLocked(std::unordered_map<std::string, EntryData>::iterator it);
-
-  const size_t capacity_bytes_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;  ///< signaled when an inflight completes
-  std::unordered_map<std::string, EntryData> entries_;
-  std::list<std::string> lru_;  ///< front = most recent
-  std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;
-  size_t bytes_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t coalesced_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t inserts_ = 0;
-  uint64_t revalidated_ = 0;
 };
 
 }  // namespace gdlog

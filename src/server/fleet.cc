@@ -34,8 +34,9 @@ Result<PlanCoordinates> ReadPlanCoordinates(const JsonValue& body,
   PlanCoordinates plan;
   GDLOG_ASSIGN_OR_RETURN(uint64_t shards,
                          OptionalU64(body, "shards", default_shards));
-  if (shards < 1) {
-    return Status::InvalidArgument("'shards' must be a positive integer");
+  if (shards < 1 || shards > kMaxShards) {
+    return Status::InvalidArgument("'shards' must be an integer in [1, " +
+                                   std::to_string(kMaxShards) + "]");
   }
   plan.shards = static_cast<size_t>(shards);
   GDLOG_ASSIGN_OR_RETURN(uint64_t depth,
@@ -123,55 +124,6 @@ Result<std::pair<std::string, int>> ParseHostPort(
 }
 
 // ---------------------------------------------------------------------------
-// PartialCache
-// ---------------------------------------------------------------------------
-
-std::optional<std::string> FleetService::PartialCache::Lookup(
-    const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->line;
-}
-
-void FleetService::PartialCache::Insert(const std::string& key,
-                                        const std::string& line) {
-  size_t entry_bytes = key.size() + line.size();
-  if (capacity_ == 0 || entry_bytes > capacity_) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    // Deterministic chase: a re-insert carries identical bytes; just
-    // refresh recency.
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  while (bytes_ + entry_bytes > capacity_ && !lru_.empty()) {
-    Entry& victim = lru_.back();
-    bytes_ -= victim.key.size() + victim.line.size();
-    index_.erase(victim.key);
-    lru_.pop_back();
-  }
-  lru_.push_front(Entry{key, line});
-  index_[key] = lru_.begin();
-  bytes_ += entry_bytes;
-}
-
-void FleetService::PartialCache::ErasePrefix(std::string_view prefix) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->key.compare(0, prefix.size(), prefix) == 0) {
-      bytes_ -= it->key.size() + it->line.size();
-      index_.erase(it->key);
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Worker half: POST /v1/shards
 // ---------------------------------------------------------------------------
 
@@ -179,6 +131,12 @@ HttpResponse FleetService::HandleShards(const HttpRequest& request) {
   shard_requests_.fetch_add(1, std::memory_order_relaxed);
   auto body = ParseBody(request);
   if (!body.ok()) return ErrorResponse(body.status());
+  // Checked before the program is resolved, so a malformed plan never
+  // registers anything. "shards" is effectively required here: the 0
+  // default fails the >= 1 check, so a request without it is rejected with
+  // a named error.
+  auto plan_coords = ReadPlanCoordinates(*body, /*default_shards=*/0);
+  if (!plan_coords.ok()) return ErrorResponse(plan_coords.status());
 
   // Program resolution: inline spec (registered idempotently — the
   // coordinator's distribution path) or a worker-local id.
@@ -222,10 +180,6 @@ HttpResponse FleetService::HandleShards(const HttpRequest& request) {
 
   auto chase = ReadChaseOptions(*body, options_.default_chase);
   if (!chase.ok()) return ErrorResponse(chase.status());
-  // "shards" is effectively required here: the 0 default fails the >= 1
-  // check, so a request without it is rejected with a named error.
-  auto plan_coords = ReadPlanCoordinates(*body, /*default_shards=*/0);
-  if (!plan_coords.ok()) return ErrorResponse(plan_coords.status());
   const JsonValue* indices_field = body->Find("shard_indices");
   if (indices_field == nullptr || !indices_field->is_array() ||
       indices_field->array().empty()) {
@@ -275,25 +229,21 @@ HttpResponse FleetService::HandleShards(const HttpRequest& request) {
       std::to_string(state->plan.prefix_depth) + "," +
       ShardAssignmentName(state->plan.assignment);
 
-  auto produce = [this, state](size_t index) -> Result<std::string> {
-    std::string key = state->key_prefix + "|shard=" + std::to_string(index);
-    if (auto cached = partial_cache_.Lookup(key)) {
-      partial_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return std::move(*cached);
-    }
-    partial_cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    auto partial = state->entry->engine.chase().ExploreShard(
-        state->plan, index, state->chase);
-    if (!partial.ok()) return partial.status();
-    shards_explored_.fetch_add(1, std::memory_order_relaxed);
-    ShardPartialMeta meta =
-        MakeShardPartialMeta(state->plan, index, state->chase);
-    std::string line =
-        PartialSpaceToJson(*partial, meta,
-                           state->entry->engine.program().interner()) +
-        "\n";
-    partial_cache_.Insert(key, line);
-    return line;
+  auto produce = [this, state](size_t index) {
+    return partial_cache_.LookupOrCompute(
+        state->key_prefix + "|shard=" + std::to_string(index),
+        [&]() -> Result<std::string> {
+          auto partial = state->entry->engine.chase().ExploreShard(
+              state->plan, index, state->chase);
+          if (!partial.ok()) return partial.status();
+          shards_explored_.fetch_add(1, std::memory_order_relaxed);
+          ShardPartialMeta meta =
+              MakeShardPartialMeta(state->plan, index, state->chase);
+          return PartialSpaceToJson(
+                     *partial, meta,
+                     state->entry->engine.program().interner()) +
+                 "\n";
+        });
   };
 
   // The first line is produced synchronously so early failures (an engine
@@ -307,14 +257,14 @@ HttpResponse FleetService::HandleShards(const HttpRequest& request) {
   response.content_type = "application/x-ndjson";
   response.stream = [state, produce, first_line = std::move(*first)](
                         const HttpResponse::ChunkSink& emit) -> Status {
-    GDLOG_RETURN_IF_ERROR(emit(first_line));
+    GDLOG_RETURN_IF_ERROR(emit(*first_line));
     for (size_t i = 1; i < state->indices.size(); ++i) {
       auto line = produce(state->indices[i]);
       // A mid-stream failure aborts the chunked stream before the
       // terminal chunk: the coordinator sees a truncated, retryable
       // exchange — never a complete-looking short response.
       if (!line.ok()) return line.status();
-      GDLOG_RETURN_IF_ERROR(emit(*line));
+      GDLOG_RETURN_IF_ERROR(emit(**line));
     }
     return Status::OK();
   };
@@ -917,10 +867,9 @@ FleetService::Counters FleetService::counters() const {
       partials_streamed_.load(std::memory_order_relaxed);
   counters.duplicate_partials =
       duplicate_partials_.load(std::memory_order_relaxed);
-  counters.partial_cache_hits =
-      partial_cache_hits_.load(std::memory_order_relaxed);
-  counters.partial_cache_misses =
-      partial_cache_misses_.load(std::memory_order_relaxed);
+  ByteLruCache<std::string>::Stats partials = partial_cache_.stats();
+  counters.partial_cache_hits = partials.hits + partials.coalesced;
+  counters.partial_cache_misses = partials.misses;
   counters.jobs_in_flight =
       jobs_in_flight_.load(std::memory_order_relaxed);
   counters.peak_resident_partials =

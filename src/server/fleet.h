@@ -3,12 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -128,7 +125,9 @@ class FleetService {
     uint64_t partials_merged = 0;  ///< Partials folded into job results.
     uint64_t partials_streamed = 0;  ///< Partial lines received mid-flight.
     uint64_t duplicate_partials = 0;  ///< Late duplicate lines discarded.
-    uint64_t partial_cache_hits = 0;    ///< Worker cache served the line.
+    /// Worker cache served the line, stored or from a concurrent
+    /// identical request's chase.
+    uint64_t partial_cache_hits = 0;
     uint64_t partial_cache_misses = 0;  ///< Worker cache had to chase.
     uint64_t jobs_in_flight = 0;  ///< GAUGE: jobs currently dispatching.
     /// GAUGE (high-water): most partials ever resident at once on the
@@ -179,31 +178,6 @@ class FleetService {
   }
 
  private:
-  /// Worker-side cache of serialized partial NDJSON lines, keyed by the
-  /// inference fingerprint + resolved plan coordinates + shard index.
-  /// Byte-bounded LRU; a hit streams the stored line without re-running
-  /// the chase.
-  class PartialCache {
-   public:
-    explicit PartialCache(size_t capacity_bytes)
-        : capacity_(capacity_bytes) {}
-
-    std::optional<std::string> Lookup(const std::string& key);
-    void Insert(const std::string& key, const std::string& line);
-    void ErasePrefix(std::string_view prefix);
-
-   private:
-    struct Entry {
-      std::string key;
-      std::string line;
-    };
-    std::mutex mu_;
-    std::list<Entry> lru_;  ///< front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-    size_t bytes_ = 0;
-    size_t capacity_ = 0;
-  };
-
   /// The dispatch loop behind /v1/jobs: plans, runs one dispatch thread
   /// per worker over a shared work pool (seeded groups, failure
   /// re-dispatch, mid-job steals), folds every delivered partial line
@@ -235,8 +209,6 @@ class FleetService {
   std::atomic<uint64_t> partials_merged_{0};
   std::atomic<uint64_t> partials_streamed_{0};
   std::atomic<uint64_t> duplicate_partials_{0};
-  std::atomic<uint64_t> partial_cache_hits_{0};
-  std::atomic<uint64_t> partial_cache_misses_{0};
   std::atomic<uint64_t> jobs_in_flight_{0};
   std::atomic<uint64_t> peak_resident_partials_{0};
   LatencyHistogram dispatch_hist_;
@@ -251,7 +223,11 @@ class FleetService {
   /// never move) and sorted, deterministic /stats and /metrics emission.
   std::map<std::string, WorkerStats> worker_stats_;
 
-  PartialCache partial_cache_;
+  /// Worker-side cache of serialized partial NDJSON lines, keyed by the
+  /// inference fingerprint + resolved plan coordinates + shard index. A
+  /// hit streams the stored line without re-running the chase, and
+  /// concurrent identical requests share one chase.
+  ByteLruCache<std::string> partial_cache_;
 };
 
 /// Splits "host:port" (the worker-list wire format). The port must be a

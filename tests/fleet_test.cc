@@ -251,15 +251,20 @@ TEST(ParseHostPort, RejectsMalformedAddresses) {
 // /v1/shards (worker half)
 // ---------------------------------------------------------------------------
 
-TEST(FleetShards, ExploresRequestedIndicesAsNdjson) {
-  InferenceService service(ServiceOptions());
+std::string TwoShardRequest() {
   JsonWriter body;
   body.BeginObject().KV("program", kNetworkProgram).KV("db", kClique3Db)
       .KV("shards", 2ll);
   body.Key("shard_indices").BeginArray().Int(0).Int(1).EndArray();
   body.EndObject();
+  return body.str();
+}
+
+TEST(FleetShards, ExploresRequestedIndicesAsNdjson) {
+  InferenceService service(ServiceOptions());
+  std::string body = TwoShardRequest();
   HttpResponse response =
-      service.Handle(MakeRequest("POST", "/v1/shards", body.str()));
+      service.Handle(MakeRequest("POST", "/v1/shards", body));
   ASSERT_EQ(response.status, 200) << response.body;
   EXPECT_EQ(response.content_type, "application/x-ndjson");
   // 200s stream chunk-by-chunk on the wire; in-process callers drain.
@@ -275,7 +280,7 @@ TEST(FleetShards, ExploresRequestedIndicesAsNdjson) {
   // The same coordinates again: both lines come out of the worker-side
   // partial cache, byte-identical, with zero additional chases.
   HttpResponse repeat =
-      service.Handle(MakeRequest("POST", "/v1/shards", body.str()));
+      service.Handle(MakeRequest("POST", "/v1/shards", body));
   ASSERT_EQ(repeat.status, 200) << repeat.body;
   ASSERT_TRUE(repeat.Drain().ok());
   EXPECT_EQ(repeat.body, response.body);
@@ -314,6 +319,15 @@ TEST(FleetShards, RejectsBadRequests) {
                        "\",\"revision\":7,\"shards\":2,"
                        "\"shard_indices\":[0]}",
                    409});
+  cases.push_back({"shards past the plan bound",
+                   "{\"program_id\":\"" + id +
+                       "\",\"shards\":" + std::to_string(kMaxShards + 1) +
+                       ",\"shard_indices\":[0]}",
+                   400});
+  cases.push_back({"absurd shards",
+                   "{\"program_id\":\"" + id +
+                       "\",\"shards\":1000000000000,\"shard_indices\":[0]}",
+                   400});
   cases.push_back({"bad assignment",
                    "{\"program_id\":\"" + id +
                        "\",\"shards\":2,\"assignment\":\"psychic\","
@@ -327,6 +341,54 @@ TEST(FleetShards, RejectsBadRequests) {
     ASSERT_TRUE(doc.ok()) << c.name;
     EXPECT_NE(doc->Find("error"), nullptr) << c.name;
   }
+}
+
+TEST(FleetShards, DisabledPartialCacheChasesAgainWithIdenticalBytes) {
+  InferenceService::Options options = ServiceOptions();
+  options.fleet_partial_cache_bytes = 0;
+  InferenceService service(options);
+  std::string body = TwoShardRequest();
+  HttpResponse first =
+      service.Handle(MakeRequest("POST", "/v1/shards", body));
+  ASSERT_EQ(first.status, 200) << first.body;
+  ASSERT_TRUE(first.Drain().ok());
+  HttpResponse second =
+      service.Handle(MakeRequest("POST", "/v1/shards", body));
+  ASSERT_EQ(second.status, 200) << second.body;
+  ASSERT_TRUE(second.Drain().ok());
+  EXPECT_EQ(second.body, first.body);
+  FleetService::Counters counters = service.fleet().counters();
+  EXPECT_EQ(counters.shards_explored, 4u);  // nothing was stored
+  EXPECT_EQ(counters.partial_cache_misses, 4u);
+  EXPECT_EQ(counters.partial_cache_hits, 0u);
+}
+
+TEST(FleetShards, ConcurrentIdenticalRequestsExploreEachIndexOnce) {
+  InferenceService service(ServiceOptions());
+  std::string body = TwoShardRequest();
+  // Each request is answered from a stored line or from the other's
+  // in-flight chase; whichever, every index is explored exactly once.
+  std::atomic<int> ready{0};
+  std::string bodies[2];
+  std::vector<std::thread> clients;
+  for (std::string& out : bodies) {
+    clients.emplace_back([&] {
+      ++ready;
+      while (ready.load() < 2) std::this_thread::yield();
+      HttpResponse response =
+          service.Handle(MakeRequest("POST", "/v1/shards", body));
+      EXPECT_EQ(response.status, 200) << response.body;
+      EXPECT_TRUE(response.Drain().ok());
+      out = response.body;
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_FALSE(bodies[0].empty());
+  EXPECT_EQ(bodies[1], bodies[0]);
+  FleetService::Counters counters = service.fleet().counters();
+  EXPECT_EQ(counters.shards_explored, 2u);
+  EXPECT_EQ(counters.partial_cache_misses, 2u);
+  EXPECT_EQ(counters.partial_cache_hits, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -518,6 +580,24 @@ TEST(FleetJobs, RejectsJobWithoutWorkers) {
   EXPECT_EQ(job.status, 400) << job.body;
   EXPECT_NE(job.body.find("--fleet-workers"), std::string::npos);
   EXPECT_EQ(coordinator.fleet().counters().jobs_failed, 1u);
+}
+
+TEST(FleetJobs, RejectsOutOfRangeShards) {
+  InferenceService coordinator(ServiceOptions());
+  std::string id = RegisterNetwork(coordinator);
+  // Rejected while reading the request: the worker is never contacted.
+  for (const std::string& shards :
+       {std::string("0"), std::to_string(kMaxShards + 1),
+        std::string("1000000000000")}) {
+    HttpResponse job = coordinator.Handle(MakeRequest(
+        "POST", "/v1/jobs",
+        "{\"program_id\":\"" + id +
+            "\",\"workers\":[\"127.0.0.1:1\"],\"shards\":" + shards +
+            "}"));
+    EXPECT_EQ(job.status, 400) << shards << ": " << job.body;
+  }
+  EXPECT_EQ(coordinator.fleet().counters().dispatches, 0u);
+  EXPECT_EQ(coordinator.fleet().counters().jobs_failed, 3u);
 }
 
 }  // namespace

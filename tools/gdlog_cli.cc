@@ -28,7 +28,8 @@
 //                         hardware thread, 1 = serial; default 0). Results
 //                         are identical for any N when no budget binds.
 //   --shards N            the shard plan's width: the chase tree split by
-//                         choice-set prefix into N shards. Requires
+//                         choice-set prefix into N shards, 1 <= N <= 2^20
+//                         (wider exits 2). Requires
 //                         --shard-index; the CLI spawns no processes (one
 //                         machine: --threads; a fleet: gdlogd's
 //                         POST /v1/jobs)
@@ -229,7 +230,7 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--threads")) {
       opts.threads = need_number(i);
     } else if (!std::strcmp(arg, "--shards")) {
-      opts.shards = need_number(i, 1);
+      opts.shards = need_number(i, 1, gdlog::kMaxShards);
     } else if (!std::strcmp(arg, "--shard-index")) {
       opts.shard_index = need_number(i);
     } else if (!std::strcmp(arg, "--shard-prefix-depth")) {
