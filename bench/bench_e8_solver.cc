@@ -1,6 +1,7 @@
 // E8 — Stable-model solver throughput: well-founded fast path on
 // stratified ground programs vs branch-and-verify on even negation cycles,
-// and enumeration cost as the model count grows (2^k models).
+// enumeration cost as the model count grows (2^k models), and a quarantine
+// chase leaf, whose per-router even loops the constraints tie together.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -61,6 +62,29 @@ std::string EvenCycles(int k) {
   return text;
 }
 
+// The leaf of the quarantine chase where all k routers of a k-clique are
+// infected: one quarantined/released even loop per router, and at most one
+// released router per edge, so k+1 stable models.
+std::string QuarantineLeaf(int k) {
+  std::string text;
+  for (int i = 1; i <= k; ++i) {
+    std::string x = std::to_string(i);
+    text += "infected(" + x + ", 1).\n";
+    text += "quarantined(" + x + ") :- infected(" + x + ", 1), not released(" +
+            x + ").\n";
+    text += "released(" + x + ") :- infected(" + x + ", 1), not quarantined(" +
+            x + ").\n";
+    for (int j = 1; j <= k; ++j) {
+      if (i == j) continue;
+      std::string y = std::to_string(j);
+      text += "connected(" + x + ", " + y + ").\n";
+      text += ":- released(" + x + "), released(" + y + "), connected(" + x +
+              ", " + y + ").\n";
+    }
+  }
+  return text;
+}
+
 void VerificationTable() {
   std::printf("=== E8: stable-model solver ===\n");
   std::printf("%-22s %-8s %-10s\n", "program", "atoms", "models");
@@ -79,6 +103,14 @@ void VerificationTable() {
     std::printf("%-22s %-8zu %-10zu (expect 1)\n",
                 ("strat-chain n=" + std::to_string(n)).c_str(), rules.size(),
                 models->size());
+  }
+  for (int k : {2, 4, 8}) {
+    gdlog::Interner interner;
+    auto rules = ParseGroundProgram(QuarantineLeaf(k), &interner);
+    auto models = gdlog::AllStableModels(rules);
+    std::printf("%-22s %-8zu %-10zu (expect %d)\n",
+                ("quarantine-leaf k=" + std::to_string(k)).c_str(),
+                rules.size(), models->size(), k + 1);
   }
   std::printf("\n");
 }
@@ -120,6 +152,24 @@ void BM_Enumerate_EvenCycles(benchmark::State& state) {
 }
 BENCHMARK(BM_Enumerate_EvenCycles)->Arg(4)->Arg(8)->Arg(12)->Arg(14)
     ->Unit(benchmark::kMillisecond);
+
+void BM_Solve_QuarantineLeaf(benchmark::State& state) {
+  gdlog::Interner interner;
+  auto rules = ParseGroundProgram(
+      QuarantineLeaf(static_cast<int>(state.range(0))), &interner);
+  size_t models = 0;
+  for (auto _ : state) {
+    auto solved = gdlog::AllStableModels(rules);
+    models = solved->size();
+    benchmark::DoNotOptimize(models);
+  }
+  state.counters["models"] = static_cast<double>(models);
+  state.counters["models/s"] = benchmark::Counter(
+      static_cast<double>(models),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_Solve_QuarantineLeaf)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_FirstModel_EvenCycles(benchmark::State& state) {
   // HasStableModel short-circuits after one model: near-linear despite the

@@ -109,21 +109,9 @@ Result<StableModelSet> ChaseEngine::SolveOutcome(
   }
   for (const GroundRule& r : choice_rules) all_rules.push_back(&r);
 
-  NormalProgram prog = NormalProgram::FromRules(all_rules);
   StableModelEnumerator::Options solver_options;
   solver_options.max_nodes = solver_max_nodes;
-  StableModelEnumerator solver(prog, solver_options);
-  StableModelSet models;
-  Status st = solver.Enumerate([&](const std::vector<uint32_t>& atoms) {
-    StableModel model;
-    model.reserve(atoms.size());
-    for (uint32_t a : atoms) model.push_back(prog.atoms().Get(a));
-    std::sort(model.begin(), model.end());
-    models.insert(std::move(model));
-    return true;
-  });
-  if (!st.ok()) return st;
-  return models;
+  return AllStableModels(NormalProgram::FromRules(all_rules), solver_options);
 }
 
 void ChaseEngine::ProcessNode(ExploreState& state, WorkItem item,

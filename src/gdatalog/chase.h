@@ -150,7 +150,10 @@ class ChaseEngine {
   /// (IsHornGrounding) has its one candidate model read off
   /// (HornStableModels), which counts as the solver's single search node
   /// against `solver_max_nodes`; any other builds the normal program and
-  /// enumerates its stable models.
+  /// solves it by components (StableModelEnumerator: one well-founded
+  /// pass, then a search per strongly connected component of what it left
+  /// undefined). Each model is built in canonical order from one rank of
+  /// the leaf's atom ids, not by sorting ground atoms per model.
   Result<StableModelSet> SolveOutcome(const ChoiceSet& choices,
                                       const GroundRuleSet& grounding,
                                       uint64_t solver_max_nodes) const;

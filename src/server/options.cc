@@ -148,6 +148,12 @@ Result<ChaseOptions> ReadChaseOptions(const JsonValue& body,
     if (!(mpp >= 0.0) || mpp > 1.0) {
       return Status::InvalidArgument("min_path_prob must be in [0, 1]");
     }
+    // Every outcome costs the solver at least one node, so 0 would fail
+    // every chase with a budget error.
+    if (smn == 0) {
+      return Status::InvalidArgument(
+          "solver_max_nodes must be in [1, 9223372036854775807]");
+    }
     chase.max_outcomes = static_cast<size_t>(mo);
     chase.max_depth = static_cast<size_t>(md);
     chase.support_limit = static_cast<size_t>(sl);

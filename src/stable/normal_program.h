@@ -2,8 +2,6 @@
 #define GDLOG_STABLE_NORMAL_PROGRAM_H_
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ground/ground_rule.h"
@@ -11,30 +9,29 @@
 namespace gdlog {
 
 /// Interns ground atoms into dense 32-bit ids for the solver's hot paths.
+/// Each distinct atom is stored once, in id order; the index is an
+/// open-addressing table of ids that compares against that copy.
 class AtomTable {
  public:
-  uint32_t Intern(const GroundAtom& atom) {
-    auto it = index_.find(atom);
-    if (it != index_.end()) return it->second;
-    uint32_t id = static_cast<uint32_t>(atoms_.size());
-    atoms_.push_back(atom);
-    index_.emplace(atoms_.back(), id);
-    return id;
-  }
+  /// Returns the id of `atom`, adding it if it is new.
+  uint32_t Intern(const GroundAtom& atom);
 
   /// Returns the id of `atom` or kNotFound.
   static constexpr uint32_t kNotFound = UINT32_MAX;
-  uint32_t Lookup(const GroundAtom& atom) const {
-    auto it = index_.find(atom);
-    return it == index_.end() ? kNotFound : it->second;
-  }
+  uint32_t Lookup(const GroundAtom& atom) const;
 
   const GroundAtom& Get(uint32_t id) const { return atoms_[id]; }
   size_t size() const { return atoms_.size(); }
 
  private:
-  std::unordered_map<GroundAtom, uint32_t, GroundAtomHash> index_;
-  std::vector<GroundAtom> atoms_;
+  /// The slot of slots_ that holds `atom`'s id, or the empty slot where it
+  /// would go. Requires a non-empty table.
+  size_t FindSlot(const GroundAtom& atom, size_t hash) const;
+  void Rehash(size_t capacity);
+
+  std::vector<GroundAtom> atoms_;  ///< id → atom
+  std::vector<size_t> hashes_;     ///< id → atom hash, kept for rehashing
+  std::vector<uint32_t> slots_;    ///< linear probing; kNotFound = empty
 };
 
 /// A ground normal rule over dense atom ids.
@@ -52,6 +49,9 @@ struct NormalRule {
 class NormalProgram {
  public:
   NormalProgram() = default;
+  /// A program over the anonymous atom ids 0..atom_count-1, with an empty
+  /// atom table: the solver's per-component sub-programs.
+  explicit NormalProgram(size_t atom_count) : atom_count_(atom_count) {}
 
   /// Reserved predicate id for the falsity marker atom ⊥ that ground
   /// constraints derive; a candidate model containing it is rejected.
@@ -70,16 +70,19 @@ class NormalProgram {
 
   void AddRule(NormalRule rule) { rules_.push_back(std::move(rule)); }
 
-  size_t atom_count() const { return atoms_.size(); }
+  size_t atom_count() const { return atom_count_; }
 
-  /// Rules indexed by positive-body atom: ids of rules where `atom` occurs
-  /// positively. (Built by Finalize.)
-  const std::vector<std::vector<uint32_t>>& pos_occurrences() const {
-    return pos_occ_;
-  }
-  /// Rules where `atom` occurs negatively.
-  const std::vector<std::vector<uint32_t>>& neg_occurrences() const {
-    return neg_occ_;
+  /// Ids of the rules where `atom` occurs positively, once per occurrence.
+  /// (Built by Finalize.)
+  struct RuleIds {
+    const uint32_t* first;
+    const uint32_t* last;
+    const uint32_t* begin() const { return first; }
+    const uint32_t* end() const { return last; }
+  };
+  RuleIds pos_occurrences(uint32_t atom) const {
+    return {pos_occ_.data() + pos_begin_[atom],
+            pos_occ_.data() + pos_begin_[atom + 1]};
   }
 
   /// Atoms occurring in at least one negative body — the only atoms whose
@@ -94,14 +97,13 @@ class NormalProgram {
   /// Builds occurrence indices; must be called after the last AddRule.
   void Finalize();
 
-  std::string ToString(const Interner* interner = nullptr) const;
-
  private:
   AtomTable atoms_;
   std::vector<NormalRule> rules_;
-  std::vector<std::vector<uint32_t>> pos_occ_;
-  std::vector<std::vector<uint32_t>> neg_occ_;
+  std::vector<uint32_t> pos_begin_;  ///< atom → first index in pos_occ_
+  std::vector<uint32_t> pos_occ_;    ///< rule ids grouped by atom
   std::vector<uint32_t> neg_atoms_;
+  size_t atom_count_ = 0;
   uint32_t falsity_atom_ = kNoFalsity;
 };
 

@@ -21,11 +21,26 @@ using StableModelSet = std::set<StableModel>;
 
 /// Enumerates the stable models of a ground normal program.
 ///
-/// Algorithm: DPLL-style search over the atoms that occur in negative
-/// bodies (the only atoms whose truth distinguishes stable models), with
-/// conditioned well-founded propagation for pruning, and Gelfond–Lifschitz
-/// reduct verification at the leaves. Stratified ground programs are solved
-/// without branching (their well-founded model is total).
+/// Algorithm: one well-founded pass decides most atoms; the program is
+/// simplified by it (rules with a decided head or a false body literal go,
+/// true body literals go), and the undefined atoms split into the strongly
+/// connected components of the head→body graph (positive and negative
+/// edges). By the splitting-set theorem (Lifschitz & Turner, ICLP 1994) the
+/// components are solved bottom-up, each conditioned on the models chosen
+/// below it: a component-local branch-and-verify search (conditioned
+/// well-founded propagation, branching on negatively occurring atoms,
+/// Gelfond–Lifschitz reduct verification at the leaves) runs once for a
+/// component the well-founded pass cut off from every lower component, and
+/// again per input assignment otherwise. The product of component models is
+/// enumerated depth-first; each ground constraint is checked as soon as the
+/// highest component its body touches is placed; the well-founded-true
+/// atoms join every model. Stratified ground programs never branch: their
+/// well-founded model is total.
+///
+/// Node budget: the well-founded pass is one node, each node of a
+/// component-local search is one, and so is each component model placed in
+/// the product search. The count is checked at every increment, and the
+/// search is sequential, so a budget-bound result is deterministic.
 class StableModelEnumerator {
  public:
   struct Options {
@@ -48,13 +63,24 @@ class StableModelEnumerator {
   uint64_t nodes_used() const { return nodes_; }
 
  private:
-  Status Search(std::vector<Truth>& external,
-                const std::function<bool(const std::vector<uint32_t>&)>& cb,
-                bool* keep_going);
+  struct Component;
+  struct Run;
 
-  void EmitLeaf(const std::vector<Truth>& external,
-                const std::function<bool(const std::vector<uint32_t>&)>& cb,
-                bool* keep_going);
+  /// Counts one search node against the budget.
+  Status Tick();
+  /// Places components `index`.. in turn below the current assignment and
+  /// reports every complete model.
+  Status SolveFrom(Run& run, size_t index);
+  /// Branch-and-verify search over one component's sub-program `local`;
+  /// every stable model is placed (PlaceModel) as soon as it is found.
+  Status SearchComponent(Run& run, size_t index, const NormalProgram& local,
+                         std::vector<Truth>& external);
+  /// Assigns `model` (global atom ids) to component `index`, checks the
+  /// constraints that become decidable, and continues with the next one.
+  Status PlaceModel(Run& run, size_t index,
+                    const std::vector<uint32_t>& model);
+  /// Reports the model that the current assignment completes.
+  void Emit(Run& run);
 
   const NormalProgram& prog_;
   Options options_ = {};
@@ -66,6 +92,14 @@ class StableModelEnumerator {
 /// sorted ground-atom vectors, sorted set. Honors `options` budgets.
 Result<StableModelSet> AllStableModels(
     const GroundRuleSet& rules,
+    StableModelEnumerator::Options options = StableModelEnumerator::Options{});
+
+/// As above, on a program already built: each model is materialized in
+/// canonical order from one rank of the program's atom ids, and the models
+/// are ordered by their rank sequences, so ground atoms are compared only
+/// to build the rank.
+Result<StableModelSet> AllStableModels(
+    const NormalProgram& prog,
     StableModelEnumerator::Options options = StableModelEnumerator::Options{});
 
 /// Convenience: true iff the ground program has at least one stable model.

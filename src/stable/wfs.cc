@@ -1,21 +1,29 @@
 #include "stable/wfs.h"
 
-#include <deque>
+#include <vector>
 
 namespace gdlog {
 
 namespace {
 
-/// Γ(X): least model of the reduct where a negative literal "not a" is
-/// satisfied iff a is not assumed true. Assumed-true means: external says
-/// kTrue, or external is kUndefined/absent and X[a] holds.
-std::vector<bool> Gamma(const NormalProgram& prog, const std::vector<bool>& X,
-                        const std::vector<Truth>* external) {
+/// Γ's work lists, reused across the applications of one fixpoint.
+struct GammaScratch {
+  std::vector<uint32_t> missing;
+  std::vector<uint32_t> ready;  // fire order does not change the least model
+};
+
+/// Γ(X) into *derived: least model of the reduct where a negative literal
+/// "not a" is satisfied iff a is not assumed true. Assumed-true means:
+/// external says kTrue, or external is kUndefined/absent and X[a] holds.
+void Gamma(const NormalProgram& prog, const std::vector<bool>& X,
+           const std::vector<Truth>* external, GammaScratch& scratch,
+           std::vector<bool>* derived) {
   const auto& rules = prog.rules();
-  size_t n = prog.atom_count();
-  std::vector<bool> derived(n, false);
-  std::vector<uint32_t> missing(rules.size(), 0);
-  std::deque<uint32_t> ready;
+  derived->assign(prog.atom_count(), false);
+  std::vector<uint32_t>& missing = scratch.missing;
+  std::vector<uint32_t>& ready = scratch.ready;
+  missing.assign(rules.size(), 0);
+  ready.clear();
 
   for (uint32_t ri = 0; ri < rules.size(); ++ri) {
     const NormalRule& r = rules[ri];
@@ -38,12 +46,12 @@ std::vector<bool> Gamma(const NormalProgram& prog, const std::vector<bool>& X,
   }
 
   while (!ready.empty()) {
-    uint32_t ri = ready.front();
-    ready.pop_front();
+    uint32_t ri = ready.back();
+    ready.pop_back();
     uint32_t head = rules[ri].head;
-    if (derived[head]) continue;
-    derived[head] = true;
-    for (uint32_t rj : prog.pos_occurrences()[head]) {
+    if ((*derived)[head]) continue;
+    (*derived)[head] = true;
+    for (uint32_t rj : prog.pos_occurrences(head)) {
       if (missing[rj] == UINT32_MAX || missing[rj] == 0) continue;
       // pos_occurrences lists a rule once per positive occurrence and
       // missing[] was initialized to the occurrence count, so decrementing
@@ -51,7 +59,6 @@ std::vector<bool> Gamma(const NormalProgram& prog, const std::vector<bool>& X,
       if (--missing[rj] == 0) ready.push_back(rj);
     }
   }
-  return derived;
 }
 
 }  // namespace
@@ -59,16 +66,19 @@ std::vector<bool> Gamma(const NormalProgram& prog, const std::vector<bool>& X,
 WellFoundedModel ComputeWellFounded(const NormalProgram& prog,
                                     const std::vector<Truth>* external) {
   size_t n = prog.atom_count();
+  GammaScratch scratch;
   std::vector<bool> T(n, false);
+  std::vector<bool> U;
+  std::vector<bool> T_next;
 
   // Alternating fixpoint: U_i = Γ(T_i) (possibly true), T_{i+1} = Γ(U_i)
   // (surely true). T is increasing, U decreasing; both stabilize together.
-  std::vector<bool> U = Gamma(prog, T, external);
+  Gamma(prog, T, external, scratch, &U);
   for (;;) {
-    std::vector<bool> T_next = Gamma(prog, U, external);
+    Gamma(prog, U, external, scratch, &T_next);
     if (T_next == T) break;
-    T = std::move(T_next);
-    U = Gamma(prog, T, external);
+    T.swap(T_next);
+    Gamma(prog, T, external, scratch, &U);
   }
 
   WellFoundedModel wfm;
@@ -88,7 +98,10 @@ std::vector<bool> LeastModelOfReduct(const NormalProgram& prog,
   // With a total external assignment over negative atoms, Γ no longer
   // depends on X.
   std::vector<bool> X(prog.atom_count(), false);
-  return Gamma(prog, X, &external);
+  GammaScratch scratch;
+  std::vector<bool> derived;
+  Gamma(prog, X, &external, scratch, &derived);
+  return derived;
 }
 
 }  // namespace gdlog

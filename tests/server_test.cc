@@ -521,6 +521,11 @@ TEST(InferenceService, MalformedRequestsGetFourHundreds) {
                                std::string(R"({"program_id":")") + id +
                                    R"(","options":{"max_depth":"x"}})"),
                    400});
+  cases.push_back({"solver_max_nodes of zero",
+                   MakeRequest("POST", "/v1/query",
+                               std::string(R"({"program_id":")") + id +
+                                   R"(","options":{"solver_max_nodes":0}})"),
+                   400});
   cases.push_back({"queries not an array",
                    MakeRequest("POST", "/v1/query",
                                std::string(R"({"program_id":")") + id +
@@ -566,6 +571,29 @@ TEST(InferenceService, MalformedRequestsGetFourHundreds) {
       EXPECT_NE(doc->Find("error"), nullptr) << c.name;
     }
   }
+}
+
+TEST(InferenceService, SolverMaxNodesZeroNamesTheRange) {
+  InferenceService service(ServiceOptions());
+  std::string id = MustRegister(service, kCoinProgram);
+  HttpResponse response = service.Handle(MakeRequest(
+      "POST", "/v1/query",
+      std::string(R"({"program_id":")") + id +
+          R"(","options":{"solver_max_nodes":0}})"));
+  EXPECT_EQ(response.status, 400);
+  EXPECT_NE(response.body.find("InvalidArgument"), std::string::npos)
+      << response.body;
+  EXPECT_NE(response.body.find("solver_max_nodes must be in [1, "),
+            std::string::npos)
+      << response.body;
+  EXPECT_EQ(service.cache().stats().misses, 0u);
+  // One node is a valid budget, and the default is ten million.
+  EXPECT_EQ(ChaseOptions{}.solver_max_nodes, 10'000'000u);
+  response = service.Handle(MakeRequest(
+      "POST", "/v1/query",
+      std::string(R"({"program_id":")") + id +
+          R"(","options":{"solver_max_nodes":1}})"));
+  EXPECT_EQ(response.status, 200) << response.body;
 }
 
 // ---------------------------------------------------------------------------

@@ -35,10 +35,11 @@
 //                         fingerprint, so --check's "one chase for N
 //                         identical requests" assertion holds unchanged;
 //                         fleet counter deltas (dispatches, retries,
-//                         steals, streamed/duplicate partials, partial-
-//                         cache hits/misses) and per-worker dispatch
-//                         latency (p50/p95/max) are printed alongside the
-//                         cache deltas
+//                         steals, streamed/duplicate partials; partial-
+//                         cache hits/misses summed over the workers' own
+//                         /v1/stats) and per-worker dispatch latency
+//                         (p50/p95/max) are printed alongside the cache
+//                         deltas
 //   --shards N            fleet mode: shard count (default: worker count)
 #include <algorithm>
 #include <atomic>
@@ -128,6 +129,43 @@ gdlog::Result<gdlog::JsonValue> FetchStats(const std::string& host,
   return gdlog::JsonValue::Parse(response.body);
 }
 
+/// The non-empty entries of a comma-separated "host:port" list.
+std::vector<std::string> SplitWorkers(const std::string& list) {
+  std::vector<std::string> workers;
+  std::string worker;
+  for (const char* p = list.c_str();; ++p) {
+    if (*p == ',' || *p == '\0') {
+      if (!worker.empty()) workers.push_back(worker);
+      worker.clear();
+      if (*p == '\0') break;
+    } else {
+      worker.push_back(*p);
+    }
+  }
+  return workers;
+}
+
+/// /v1/stats of every worker of a "host:port" list, in list order.
+gdlog::Result<std::vector<gdlog::JsonValue>> FetchWorkerStats(
+    const std::vector<std::string>& workers) {
+  std::vector<gdlog::JsonValue> stats;
+  for (const std::string& worker : workers) {
+    size_t colon = worker.rfind(':');
+    char* end = nullptr;
+    long port = colon == std::string::npos
+                    ? 0
+                    : std::strtol(worker.c_str() + colon + 1, &end, 10);
+    if (port <= 0 || port > 65535 || end == nullptr || *end != '\0') {
+      return gdlog::Status::InvalidArgument("bad worker address " + worker);
+    }
+    GDLOG_ASSIGN_OR_RETURN(gdlog::JsonValue one,
+                           FetchStats(worker.substr(0, colon),
+                                      static_cast<int>(port)));
+    stats.push_back(std::move(one));
+  }
+  return stats;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -187,6 +225,14 @@ int main(int argc, char** argv) {
                  stats_before.status().ToString().c_str());
     return 1;
   }
+  // The partial cache lives on the workers, so its deltas are theirs.
+  const std::vector<std::string> workers = SplitWorkers(opts.fleet_workers);
+  auto workers_before = FetchWorkerStats(workers);
+  if (!workers_before.ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 workers_before.status().ToString().c_str());
+    return 1;
+  }
 
   // Register (idempotent: an already-registered identical spec returns
   // the same id).
@@ -225,7 +271,7 @@ int main(int argc, char** argv) {
   }
   std::printf("registered program %s\n", program_id.c_str());
 
-  const bool fleet = !opts.fleet_workers.empty();
+  const bool fleet = !workers.empty();
   gdlog::JsonWriter query;
   query.BeginObject();
   query.KV("program_id", program_id);
@@ -233,16 +279,7 @@ int main(int argc, char** argv) {
   if (opts.include_events) query.KV("include_events", true);
   if (fleet) {
     query.Key("workers").BeginArray();
-    std::string worker;
-    for (const char* p = opts.fleet_workers.c_str();; ++p) {
-      if (*p == ',' || *p == '\0') {
-        if (!worker.empty()) query.String(worker);
-        worker.clear();
-        if (*p == '\0') break;
-      } else {
-        worker.push_back(*p);
-      }
-    }
+    for (const std::string& worker : workers) query.String(worker);
     query.EndArray();
     if (opts.shards > 0) {
       query.KV("shards", static_cast<long long>(opts.shards));
@@ -328,9 +365,23 @@ int main(int argc, char** argv) {
   std::printf("cache deltas: misses=%lld hits=%lld coalesced=%lld\n",
               d_misses, d_hits, d_coalesced);
   if (fleet) {
+    auto workers_after = FetchWorkerStats(workers);
+    if (!workers_after.ok()) {
+      std::fprintf(stderr, "error: %s\n",
+                   workers_after.status().ToString().c_str());
+      return 1;
+    }
     auto fleet_delta = [&](const char* field) {
       return StatsCounter(*stats_after, "fleet", field) -
              StatsCounter(*stats_before, "fleet", field);
+    };
+    auto worker_delta = [&](const char* field) {
+      long long sum = 0;
+      for (size_t w = 0; w < workers.size(); ++w) {
+        sum += StatsCounter((*workers_after)[w], "fleet", field) -
+               StatsCounter((*workers_before)[w], "fleet", field);
+      }
+      return sum;
     };
     std::printf(
         "fleet deltas: jobs=%lld dispatches=%lld retries=%lld "
@@ -341,8 +392,8 @@ int main(int argc, char** argv) {
         fleet_delta("retries"), fleet_delta("worker_failures"),
         fleet_delta("partials_merged"), fleet_delta("steals"),
         fleet_delta("partials_streamed"), fleet_delta("duplicate_partials"),
-        fleet_delta("partial_cache_hits"),
-        fleet_delta("partial_cache_misses"));
+        worker_delta("partial_cache_hits"),
+        worker_delta("partial_cache_misses"));
     // Per-worker dispatch latency as the coordinator measured it — the
     // outside view of which worker is the straggler.
     const gdlog::JsonValue* fleet_obj = stats_after->Find("fleet");
