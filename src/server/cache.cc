@@ -45,6 +45,36 @@ std::string InferenceCache::Fingerprint(std::string_view program_id,
   return key;
 }
 
+Result<std::shared_ptr<const OutcomeSpace>> InferenceCache::Lookup(
+    const ProgramRegistry::Entry& entry, const ChaseOptions& options,
+    std::string_view key_suffix, const ComputeFn& compute) {
+  std::string key =
+      Fingerprint(entry.id, entry.revision, entry.lineage_digest, options);
+  key += key_suffix;
+  const size_t prefix_size =
+      KeyPrefix(entry.id, entry.revision, entry.lineage_digest).size();
+  return LookupOrCompute(key, [&]() -> Result<OutcomeSpace> {
+    std::string_view suffix = std::string_view(key).substr(prefix_size);
+    std::vector<GroundAtom> added;
+    const std::vector<LineageLink>& lineage = entry.lineage;
+    for (size_t back = 0; back < lineage.size() && back < kMaxAncestorLinks;
+         ++back) {
+      const LineageLink& link = lineage[lineage.size() - 1 - back];
+      if (link.touches_rule_bodies) break;
+      added.insert(added.end(), link.added_facts.begin(),
+                   link.added_facts.end());
+      std::string ancestor_key =
+          KeyPrefix(entry.id, link.base_revision, link.digest_before);
+      ancestor_key += suffix;
+      if (std::shared_ptr<const OutcomeSpace> ancestor = Take(ancestor_key)) {
+        revalidated_.fetch_add(1, std::memory_order_relaxed);
+        return ancestor->WithAddedFacts(added);
+      }
+    }
+    return compute();
+  });
+}
+
 template <>
 size_t ByteLruCache<OutcomeSpace>::ApproxBytes(const OutcomeSpace& space) {
   // Heap-node overheads are rough constants; the point is a stable,
@@ -118,19 +148,12 @@ Result<std::shared_ptr<const V>> ByteLruCache<V>::LookupOrCompute(
 }
 
 template <typename V>
-bool ByteLruCache<V>::InsertLocked(const std::string& key,
+void ByteLruCache<V>::InsertLocked(const std::string& key,
                                    std::shared_ptr<const V> value) {
-  auto present = entries_.find(key);
-  if (present != entries_.end()) {
-    // A key names one deterministic value, so the present entry already
-    // holds these bytes: keep it (and its charge), refresh its recency.
-    lru_.splice(lru_.begin(), lru_, present->second.lru_it);
-    return false;
-  }
   size_t bytes = key.size() + ApproxBytes(*value);
   // A capacity of 0 stores nothing; an oversized value would evict
   // everything for nothing.
-  if (capacity_bytes_ == 0 || bytes > capacity_bytes_) return false;
+  if (capacity_bytes_ == 0 || bytes > capacity_bytes_) return;
   lru_.push_front(key);
   EntryData& data = entries_[key];
   data.value = std::move(value);
@@ -142,7 +165,6 @@ bool ByteLruCache<V>::InsertLocked(const std::string& key,
     ++evictions_;
     EraseLocked(entries_.find(lru_.back()));
   }
-  return true;
 }
 
 template <typename V>
@@ -154,46 +176,13 @@ void ByteLruCache<V>::EraseLocked(
 }
 
 template <typename V>
-size_t ByteLruCache<V>::Revalidate(std::string_view program_prefix,
-                                   std::string_view old_prefix,
-                                   std::string_view new_prefix,
-                                   const PatchFn& patch, size_t* evicted) {
+std::shared_ptr<const V> ByteLruCache<V>::Take(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, std::shared_ptr<const V>>> moved;
-  size_t dropped = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    std::string_view key = it->first;
-    if (key.substr(0, program_prefix.size()) != program_prefix) {
-      ++it;
-      continue;
-    }
-    if (key.substr(0, old_prefix.size()) == old_prefix) {
-      moved.emplace_back(
-          std::string(new_prefix) + std::string(key.substr(old_prefix.size())),
-          it->second.value);
-    } else {
-      ++evictions_;
-      ++dropped;
-    }
-    auto victim = it++;
-    EraseLocked(victim);
-  }
-  size_t count = 0;
-  for (auto& [key, value] : moved) {
-    std::shared_ptr<const V> patched = patch ? patch(*value) : value;
-    if (patched == nullptr) {
-      ++evictions_;
-      ++dropped;
-      continue;
-    }
-    // Skipped when a fresh compute landed first.
-    if (InsertLocked(key, std::move(patched))) {
-      ++count;
-      ++revalidated_;
-    }
-  }
-  if (evicted != nullptr) *evicted = dropped;
-  return count;
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return nullptr;
+  std::shared_ptr<const V> value = std::move(it->second.value);
+  EraseLocked(it);
+  return value;
 }
 
 template <typename V>
@@ -230,7 +219,6 @@ typename ByteLruCache<V>::Stats ByteLruCache<V>::stats() const {
   stats.coalesced = coalesced_;
   stats.evictions = evictions_;
   stats.inserts = inserts_;
-  stats.revalidated = revalidated_;
   stats.entries = entries_.size();
   stats.bytes = bytes_;
   stats.capacity_bytes = capacity_bytes_;

@@ -1,6 +1,7 @@
 #ifndef GDLOG_SERVER_CACHE_H_
 #define GDLOG_SERVER_CACHE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -13,6 +14,7 @@
 
 #include "gdatalog/chase.h"
 #include "gdatalog/outcome.h"
+#include "server/registry.h"
 
 namespace gdlog {
 
@@ -24,10 +26,7 @@ namespace gdlog {
 /// Both instances key a deterministic result: the InferenceCache below
 /// (fingerprint → OutcomeSpace) and the fleet worker's partial cache
 /// (fingerprint + plan coordinates + shard index → serialized partial
-/// line). A key therefore names one value, which fixes the policy for an
-/// insert of a present key (a compute that raced a Revalidate landing
-/// second): the present entry already holds the same bytes, so it is kept
-/// and its recency refreshed.
+/// line). A key therefore names one value.
 ///
 /// An entry is charged `key.size() + ApproxBytes(value)`. A value whose
 /// charge exceeds the whole capacity is returned uncached, so a capacity of
@@ -43,15 +42,12 @@ class ByteLruCache {
     uint64_t coalesced = 0;    ///< Waited on another lookup's compute.
     uint64_t evictions = 0;    ///< Entries dropped to respect the bound.
     uint64_t inserts = 0;      ///< Entries ever stored.
-    uint64_t revalidated = 0;  ///< Entries moved to a new lineage by
-                               ///< Revalidate() instead of evicted.
     size_t entries = 0;        ///< Current entry count.
     size_t bytes = 0;          ///< Current charge, keys included.
     size_t capacity_bytes = 0;
   };
 
   using ComputeFn = std::function<Result<V>()>;
-  using PatchFn = std::function<std::shared_ptr<const V>(const V&)>;
 
   explicit ByteLruCache(size_t capacity_bytes)
       : capacity_bytes_(capacity_bytes) {}
@@ -68,22 +64,15 @@ class ByteLruCache {
   /// dropped; they count as evictions.
   size_t ErasePrefix(std::string_view prefix);
 
+  /// Removes the entry stored under exactly `key` and returns its value,
+  /// or nullptr when there is none. Neither a hit nor an eviction: the
+  /// caller moves the value on (InferenceCache::Lookup patches it into the
+  /// space of a newer lineage).
+  std::shared_ptr<const V> Take(const std::string& key);
+
   void Clear();
 
   Stats stats() const;
-
-  /// Lineage-keyed revalidation (the PATCH /db path for deltas that
-  /// provably cannot change any grounding fixpoint): every entry under
-  /// `old_prefix` is re-keyed under `new_prefix` (same suffix) after
-  /// passing its value through `patch`; entries under `program_prefix` but
-  /// not `old_prefix` (older revisions/lineages) are dropped as ordinary
-  /// evictions. A `patch` returning nullptr demotes that entry to an
-  /// eviction; a re-keyed entry whose new key is already present (a fresh
-  /// compute landed first) is skipped. Returns the number revalidated;
-  /// `evicted`, when non-null, receives the number dropped.
-  size_t Revalidate(std::string_view program_prefix,
-                    std::string_view old_prefix, std::string_view new_prefix,
-                    const PatchFn& patch, size_t* evicted = nullptr);
 
   /// Approximate heap footprint of a value (a space's outcomes, choice
   /// sets and stable models; a string's size()); with the key's length,
@@ -103,10 +92,10 @@ class ByteLruCache {
     std::shared_ptr<const V> value;
   };
 
-  /// Under mu_: stores `value` unless `key` is present (then only its
-  /// recency is refreshed) or it exceeds the capacity, and evicts from the
-  /// LRU tail until within bounds. Returns whether it stored.
-  bool InsertLocked(const std::string& key, std::shared_ptr<const V> value);
+  /// Under mu_: stores `value` unless it exceeds the capacity, and evicts
+  /// from the LRU tail until within bounds. Only a key's single-flight
+  /// leader inserts it, so the key is never already present.
+  void InsertLocked(const std::string& key, std::shared_ptr<const V> value);
   void EraseLocked(
       typename std::unordered_map<std::string, EntryData>::iterator it);
 
@@ -123,7 +112,6 @@ class ByteLruCache {
   uint64_t coalesced_ = 0;
   uint64_t evictions_ = 0;
   uint64_t inserts_ = 0;
-  uint64_t revalidated_ = 0;
 };
 
 template <>
@@ -146,11 +134,31 @@ class InferenceCache : public ByteLruCache<OutcomeSpace> {
  public:
   using ByteLruCache::ByteLruCache;
 
+  static constexpr size_t kMaxAncestorLinks = 8;
+
+  /// The lookup behind /v1/query and /v1/jobs, keyed by `entry`'s current
+  /// lineage, `options` and `key_suffix` (the demand signature, or empty).
+  /// A miss first walks `entry.lineage` back from the newest link, at most
+  /// kMaxAncestorLinks links and never across one that touches a rule
+  /// body, probing each ancestor's key. The deltas it crosses lie in the
+  /// bottom of a splitting set (Lifschitz & Turner, ICLP 1994), so the
+  /// first ancestor found, taken out of the cache and passed through
+  /// WithAddedFacts of every delta since, is this lineage's space. Only if
+  /// none is found does `compute` run.
+  Result<std::shared_ptr<const OutcomeSpace>> Lookup(
+      const ProgramRegistry::Entry& entry, const ChaseOptions& options,
+      std::string_view key_suffix, const ComputeFn& compute);
+
+  /// Misses that Lookup() served from an ancestor instead of `compute`.
+  uint64_t revalidated() const {
+    return revalidated_.load(std::memory_order_relaxed);
+  }
+
   /// The identity half of a fingerprint: program id, DB revision and the
   /// delta-lineage digest (empty for a freshly registered or fully
-  /// replaced database). Every fingerprint starts with this, so the delta
-  /// path can move a whole revision's entries to a new lineage with one
-  /// prefix rewrite.
+  /// replaced database). Every fingerprint starts with this, and the
+  /// options half follows it, so an ancestor's key is its KeyPrefix plus
+  /// the same options half.
   static std::string KeyPrefix(std::string_view program_id, uint64_t revision,
                                std::string_view lineage_digest);
 
@@ -169,6 +177,9 @@ class InferenceCache : public ByteLruCache<OutcomeSpace> {
                                  const ChaseOptions& options) {
     return Fingerprint(program_id, revision, "", options);
   }
+
+ private:
+  std::atomic<uint64_t> revalidated_{0};
 };
 
 }  // namespace gdlog

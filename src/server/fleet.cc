@@ -351,13 +351,11 @@ HttpResponse FleetService::HandleJobs(const HttpRequest& request,
   if (!include_spans.ok()) return fail(include_spans.status());
 
   // The merged space is bit-identical to a single-process run, so the job
-  // shares the *same* fingerprint — and hence cache entries — with /query:
-  // a job warms the cache for queries and vice versa.
-  std::string key = InferenceCache::Fingerprint(
-      entry->id, entry->revision, entry->lineage_digest, *chase);
+  // shares the *same* lookup — and hence cache entries — with /query: a
+  // job warms the cache for queries and vice versa.
   JobSpans spans;
   bool computed = false;
-  auto space = cache_->LookupOrCompute(key, [&]() {
+  auto space = cache_->Lookup(*entry, *chase, "", [&]() {
     computed = true;
     return RunJob(*entry, *chase, plan_coords->shards,
                   plan_coords->prefix_depth, plan_coords->assignment,

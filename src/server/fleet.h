@@ -171,8 +171,9 @@ class FleetService {
   std::map<std::string, WorkerDispatchStats> WorkerDispatches() const;
 
   /// Drops worker-side cached partial lines whose key starts with
-  /// `prefix` (the program id + '|') — called on db replacement, delta,
-  /// and unregister, mirroring the inference cache's invalidation.
+  /// `prefix` (the program id + '|') — called on db replacement, a delta
+  /// that touches a rule body, and unregister, mirroring the inference
+  /// cache's invalidation.
   void InvalidatePartials(std::string_view prefix) {
     partial_cache_.ErasePrefix(prefix);
   }
@@ -183,7 +184,7 @@ class FleetService {
   /// re-dispatch, mid-job steals), folds every delivered partial line
   /// into a StreamingMerger on arrival, and finishes the merge once every
   /// shard was delivered exactly once. Pure with respect to the cache
-  /// (the caller feeds the result through LookupOrCompute); `spans`
+  /// (the caller feeds the result through InferenceCache::Lookup); `spans`
   /// (optional) receives the wall-time breakdown of this run.
   Result<OutcomeSpace> RunJob(const ProgramRegistry::Entry& entry,
                               const ChaseOptions& chase, size_t num_shards,

@@ -164,14 +164,15 @@ Result<ProgramRegistry::DeltaResult> ProgramRegistry::ApplyDatabaseDelta(
       GDatalog::WithDatabaseDelta(current->engine, delta_text));
 
   DeltaResult result;
-  result.base_revision = current->revision;
-  result.delta_digest = DeltaDigest(delta_text);
-  result.old_lineage_digest = current->lineage_digest;
-  result.new_lineage_digest = ChainDigest(
-      current->lineage_digest, current->revision, result.delta_digest);
   result.stats = engine.delta_stats();
-  result.touches_rule_bodies = result.stats.touches_rule_bodies;
-  result.added_facts = engine.delta_added_facts();
+  LineageLink link;
+  link.base_revision = current->revision;
+  link.digest_before = current->lineage_digest;
+  link.delta_digest = DeltaDigest(delta_text);
+  link.touches_rule_bodies = result.stats.touches_rule_bodies;
+  link.added_facts = engine.delta_added_facts();
+  std::string lineage_digest = ChainDigest(
+      current->lineage_digest, current->revision, link.delta_digest);
 
   // The published spec's db_text must reproduce the delta-applied store so
   // idempotent registration and demand-engine builds (which parse the spec
@@ -183,7 +184,7 @@ Result<ProgramRegistry::DeltaResult> ProgramRegistry::ApplyDatabaseDelta(
   spec.db_text += delta_text;
 
   std::vector<LineageLink> lineage = current->lineage;
-  lineage.push_back(LineageLink{current->revision, result.delta_digest});
+  lineage.push_back(std::move(link));
 
   deltas_applied_.fetch_add(1, std::memory_order_relaxed);
   delta_rows_appended_.fetch_add(result.stats.rows_appended,
@@ -212,7 +213,7 @@ Result<ProgramRegistry::DeltaResult> ProgramRegistry::ApplyDatabaseDelta(
   by_hash_.erase(SpecHash(it->second->spec));
   auto entry = std::make_shared<const Entry>(
       id, revision, std::move(spec), std::move(engine), std::move(lineage),
-      result.new_lineage_digest);
+      std::move(lineage_digest));
   by_hash_[SpecHash(entry->spec)] = id;
   it->second = entry;
   result.info = InfoFor(*entry, /*created=*/false);

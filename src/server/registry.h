@@ -32,6 +32,21 @@ struct ProgramSpec {
   }
 };
 
+/// One applied delta in an entry's lineage chain: the revision and lineage
+/// digest it extended (together the KeyPrefix of the space before it), a
+/// digest of the delta text, and what InferenceCache::Lookup needs to
+/// patch a space cached before it.
+struct LineageLink {
+  uint64_t base_revision = 0;
+  std::string digest_before;
+  std::string delta_digest;
+  /// Some delta predicate occurs in a rule body of Π (or is a reserved
+  /// "__" predicate): no space from before this link carries across it.
+  bool touches_rule_bodies = false;
+  /// The facts actually appended (duplicates excluded).
+  std::vector<GroundAtom> added_facts;
+};
+
 /// The server-side home of parsed programs: clients register a program+DB
 /// once — paying for parse/validate/translate/grounder construction a
 /// single time — and refer to it by a stable id on every query, so the
@@ -41,13 +56,6 @@ struct ProgramSpec {
 /// through const, concurrency-safe entry points) and handed out as
 /// shared_ptr<const Entry>: a Remove() or ReplaceDatabase() never
 /// invalidates an engine a concurrent query is still chasing.
-/// One applied delta in an entry's lineage chain: which revision it
-/// extended and a digest of the delta text.
-struct LineageLink {
-  uint64_t base_revision = 0;
-  std::string delta_digest;
-};
-
 class ProgramRegistry {
  public:
   struct Entry {
@@ -110,26 +118,14 @@ class ProgramRegistry {
   /// a fresh (empty) delta lineage.
   Result<Info> ReplaceDatabase(const std::string& id, std::string db_text);
 
-  /// Everything the serving layer needs to act on an applied delta: the
-  /// published entry plus the lineage transition (for cache revalidation)
-  /// and the engine's own DeltaStats.
+  /// An applied delta: the published entry, whose lineage.back() is this
+  /// delta's link, and the engine's own DeltaStats.
   struct DeltaResult {
     Info info;
-    uint64_t base_revision = 0;
-    std::string delta_digest;
-    /// Lineage digest before/after this delta — the cache's old and new
-    /// KeyPrefix inputs.
-    std::string old_lineage_digest;
-    std::string new_lineage_digest;
-    /// True when some delta predicate occurs in a rule body of Π (or is a
-    /// reserved "__" predicate): cached spaces for this program must be
-    /// evicted, not revalidated.
-    bool touches_rule_bodies = false;
     DeltaStats stats;
-    /// The facts actually appended (duplicates excluded) — the cache
-    /// revalidation patch (OutcomeSpace::WithAddedFacts) input.
-    std::vector<GroundAtom> added_facts;
     std::shared_ptr<const Entry> entry;
+
+    const LineageLink& link() const { return entry->lineage.back(); }
   };
 
   /// Applies a fact delta to `id`'s database via

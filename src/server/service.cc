@@ -252,36 +252,18 @@ HttpResponse InferenceService::HandleProgram(const HttpRequest& request,
       auto applied = registry_.ApplyDatabaseDelta(id, *delta);
       if (!applied.ok()) return ErrorResponse(applied.status());
       delta_patches_.fetch_add(1, std::memory_order_relaxed);
-      // Partial lines always pin revision + lineage, so post-delta lookups
-      // can never hit the old entries; dropping them is eager hygiene.
-      fleet_.InvalidatePartials(id + "|");
-      size_t revalidated = 0;
+      const LineageLink& link = applied->link();
+      // A delta outside every rule body leaves the caches alone: the next
+      // read at the new lineage patches the nearest cached ancestor
+      // (InferenceCache::Lookup), and stale partial lines, whose keys pin
+      // revision + lineage, age out. One that can change a grounding
+      // fixpoint makes every cached space of the program stale.
       size_t evicted = 0;
-      if (applied->touches_rule_bodies) {
-        // The delta can change grounding fixpoints: every cached space for
-        // this program is stale. Drop them all.
+      if (link.touches_rule_bodies) {
         evicted = cache_.ErasePrefix(id + "|");
-      } else {
-        // The delta's predicates occur in no rule body of Π, so every
-        // outcome space of the old lineage equals the new one minus the
-        // appended facts (splitting-set argument in ROADMAP): carry the
-        // entries over — patched with the new facts — instead of
-        // re-chasing them on the next query.
-        std::vector<GroundAtom> added = applied->added_facts;
-        auto patch = [added](const OutcomeSpace& space) {
-          return std::make_shared<const OutcomeSpace>(
-              space.WithAddedFacts(added));
-        };
-        revalidated = cache_.Revalidate(
-            id + "|",
-            InferenceCache::KeyPrefix(id, applied->base_revision,
-                                      applied->old_lineage_digest),
-            InferenceCache::KeyPrefix(id, applied->info.revision,
-                                      applied->new_lineage_digest),
-            patch, &evicted);
+        fleet_.InvalidatePartials(id + "|");
+        spaces_evicted_.fetch_add(evicted, std::memory_order_relaxed);
       }
-      spaces_revalidated_.fetch_add(revalidated, std::memory_order_relaxed);
-      spaces_evicted_.fetch_add(evicted, std::memory_order_relaxed);
 
       const DeltaStats& stats = applied->stats;
       JsonWriter json;
@@ -292,9 +274,8 @@ HttpResponse InferenceService::HandleProgram(const HttpRequest& request,
       json.KV("grounder", applied->info.grounder);
       json.KV("created", applied->info.created);
       json.Key("delta").BeginObject();
-      json.KV("base_revision",
-              static_cast<long long>(applied->base_revision));
-      json.KV("lineage", applied->new_lineage_digest);
+      json.KV("base_revision", static_cast<long long>(link.base_revision));
+      json.KV("lineage", applied->entry->lineage_digest);
       json.KV("rows_appended", static_cast<long long>(stats.rows_appended));
       json.KV("duplicates_skipped",
               static_cast<long long>(stats.duplicates_skipped));
@@ -304,8 +285,7 @@ HttpResponse InferenceService::HandleProgram(const HttpRequest& request,
       json.KV("summary_changed", stats.summary_changed);
       json.KV("pipeline_reused", stats.pipeline_reused);
       json.KV("root_resumed", stats.root_resumed);
-      json.KV("touches_rule_bodies", applied->touches_rule_bodies);
-      json.KV("spaces_revalidated", static_cast<long long>(revalidated));
+      json.KV("touches_rule_bodies", link.touches_rule_bodies);
       json.KV("spaces_evicted", static_cast<long long>(evicted));
       json.EndObject();
       json.EndObject();
@@ -378,16 +358,13 @@ HttpResponse InferenceService::HandleQuery(const HttpRequest& request) {
     }
   }
 
-  std::string key =
-      InferenceCache::Fingerprint(entry->id, entry->revision,
-                                  entry->lineage_digest, *chase) +
-      demand_suffix;
-  // The chase histogram sees only cache-miss computes; the lookup
-  // histogram sees LookupOrCompute's own overhead (total minus compute),
-  // so a hot cache shows up as microsecond lookups, not zero-cost chases.
+  // The chase histogram sees only chases; the lookup histogram sees the
+  // rest of Lookup (total minus chase, an ancestor's patch included), so a
+  // hot cache shows up as microsecond lookups, not zero-cost chases.
   uint64_t compute_ns = 0;
   const uint64_t lookup_start_ns = MonotonicNanos();
-  auto space = cache_.LookupOrCompute(key, [&]() -> Result<OutcomeSpace> {
+  auto space = cache_.Lookup(*entry, *chase, demand_suffix,
+                             [&]() -> Result<OutcomeSpace> {
     const uint64_t chase_start_ns = MonotonicNanos();
     if (chase->profile) {
       ChaseProfile profile;
@@ -603,8 +580,6 @@ InferenceService::ServiceCounters InferenceService::SnapshotCounters() const {
   counters.demand_queries =
       demand_queries_.load(std::memory_order_relaxed);
   counters.delta_patches = delta_patches_.load(std::memory_order_relaxed);
-  counters.spaces_revalidated =
-      spaces_revalidated_.load(std::memory_order_relaxed);
   counters.spaces_evicted =
       spaces_evicted_.load(std::memory_order_relaxed);
   return counters;
@@ -632,6 +607,7 @@ HttpResponse InferenceService::HandleStats() {
   // points in time.
   ServiceCounters server = SnapshotCounters();
   InferenceCache::Stats cache_stats = cache_.stats();
+  const uint64_t revalidated = cache_.revalidated();
   ProgramRegistry::OptCounters opt = registry_.opt_counters();
   ProgramRegistry::DeltaCounters delta = registry_.delta_counters();
   FleetService::Counters fleet = fleet_.counters();
@@ -661,7 +637,7 @@ HttpResponse InferenceService::HandleStats() {
   json.KV("coalesced", static_cast<long long>(cache_stats.coalesced));
   json.KV("evictions", static_cast<long long>(cache_stats.evictions));
   json.KV("inserts", static_cast<long long>(cache_stats.inserts));
-  json.KV("revalidated", static_cast<long long>(cache_stats.revalidated));
+  json.KV("revalidated", static_cast<long long>(revalidated));
   json.KV("entries", static_cast<long long>(cache_stats.entries));
   json.KV("bytes", static_cast<long long>(cache_stats.bytes));
   json.KV("capacity_bytes",
@@ -682,8 +658,7 @@ HttpResponse InferenceService::HandleStats() {
   json.KV("rows_appended", static_cast<long long>(delta.rows_appended));
   json.KV("rules_refired", static_cast<long long>(delta.rules_refired));
   json.KV("pipeline_reuses", static_cast<long long>(delta.pipeline_reuses));
-  json.KV("spaces_revalidated",
-          static_cast<long long>(server.spaces_revalidated));
+  json.KV("spaces_revalidated", static_cast<long long>(revalidated));
   json.KV("spaces_evicted",
           static_cast<long long>(server.spaces_evicted));
   json.EndObject();
@@ -731,6 +706,7 @@ HttpResponse InferenceService::HandleMetrics() {
   // one point-in-time view per subsystem.
   ServiceCounters server = SnapshotCounters();
   InferenceCache::Stats cache_stats = cache_.stats();
+  const uint64_t revalidated = cache_.revalidated();
   ProgramRegistry::OptCounters opt = registry_.opt_counters();
   ProgramRegistry::DeltaCounters delta = registry_.delta_counters();
   FleetService::Counters fleet = fleet_.counters();
@@ -776,8 +752,9 @@ HttpResponse InferenceService::HandleMetrics() {
   metrics.Counter("gdlog_cache_inserts_total",
                   "Cache entries inserted.", "", cache_stats.inserts);
   metrics.Counter("gdlog_cache_revalidated_total",
-                  "Cache entries carried across a database delta.", "",
-                  cache_stats.revalidated);
+                  "Cache misses served by patching an ancestor lineage's "
+                  "space.",
+                  "", revalidated);
   metrics.Gauge("gdlog_cache_entries", "Cache entries resident.", "",
                 static_cast<double>(cache_stats.entries));
   metrics.Gauge("gdlog_cache_bytes", "Approximate cache bytes resident.",
@@ -808,8 +785,8 @@ HttpResponse InferenceService::HandleMetrics() {
                   "Grounding pipelines reused across deltas.", "",
                   delta.pipeline_reuses);
   metrics.Counter("gdlog_delta_spaces_revalidated_total",
-                  "Cached outcome spaces revalidated across a delta.", "",
-                  server.spaces_revalidated);
+                  "Reads served by patching a space cached before a delta.",
+                  "", revalidated);
   metrics.Counter("gdlog_delta_spaces_evicted_total",
                   "Cached outcome spaces evicted by a delta.", "",
                   server.spaces_evicted);

@@ -41,9 +41,10 @@ namespace gdlog {
 ///   PATCH  /v1/programs/<id>/db  apply a fact delta: {delta}; appends
 ///                                facts in cost proportional to the delta,
 ///                                bumps revision, chains the lineage
-///                                digest, and either revalidates cached
-///                                outcome spaces (delta provably outside
-///                                every rule body) or evicts them; 409 on
+///                                digest; evicts the program's cached
+///                                spaces only when the delta touches a
+///                                rule body (otherwise the next read
+///                                patches a cached ancestor); 409 on
 ///                                concurrent update
 ///   DELETE /v1/programs/<id>     unregister (drops the cache lines)
 ///   POST   /v1/query             exact inference: {program_id, options?,
@@ -133,7 +134,6 @@ class InferenceService {
     uint64_t samples = 0;
     uint64_t demand_queries = 0;
     uint64_t delta_patches = 0;
-    uint64_t spaces_revalidated = 0;
     uint64_t spaces_evicted = 0;
   };
   ServiceCounters SnapshotCounters() const;
@@ -172,14 +172,13 @@ class InferenceService {
   std::atomic<uint64_t> demand_queries_{0};
   /// PATCH /db requests that applied successfully.
   std::atomic<uint64_t> delta_patches_{0};
-  /// Cached outcome spaces carried across a delta (patched + re-keyed)
-  /// versus dropped because the delta touched rule bodies.
-  std::atomic<uint64_t> spaces_revalidated_{0};
+  /// Cached outcome spaces dropped because a delta touched rule bodies.
+  /// (Reads that patched a space across a delta: cache_.revalidated().)
   std::atomic<uint64_t> spaces_evicted_{0};
 
   /// Request latency per endpoint, plus the two /query-internal phases:
-  /// chase wall time (cache-miss computes only) and cache lookup overhead
-  /// (LookupOrCompute time minus compute time).
+  /// chase wall time (misses that chased) and cache lookup overhead
+  /// (Lookup time minus chase time, an ancestor's patch included).
   std::array<LatencyHistogram, kEndpointCount> request_hist_;
   LatencyHistogram chase_hist_;
   LatencyHistogram cache_lookup_hist_;

@@ -234,41 +234,67 @@ TEST(InferenceCache, ErasePrefixDropsOneProgramsLines) {
   EXPECT_EQ(stats.evictions, 2u);
 }
 
-TEST(InferenceCache, ComputeRacingRevalidateIsChargedOnce) {
-  // A query on the new lineage misses and starts its chase; a PATCH then
-  // revalidates the old lineage's entry onto that same key; the chase
-  // lands second. The cache must keep one entry, charged once, and stay
-  // consistent through the evictions that follow.
-  auto compute = []() -> Result<OutcomeSpace> {
-    return SpaceWithOutcomes(4);
+std::shared_ptr<const ProgramRegistry::Entry> Patched(
+    ProgramRegistry& registry, const std::string& id, const char* delta) {
+  auto applied = registry.ApplyDatabaseDelta(id, delta);
+  if (!applied.ok()) {
+    ADD_FAILURE() << applied.status().ToString();
+    return nullptr;
+  }
+  EXPECT_FALSE(applied->link().touches_rule_bodies);
+  return applied->entry;
+}
+
+TEST(InferenceCache, ChaseLandingAfterASecondPatchServesTheNewLineage) {
+  // A chase at lineage L1 is held open by a latch while a second meta
+  // PATCH moves the program to L2; the chase then lands under L1's key.
+  // The next read at L2 must be served from it without a chase (one miss,
+  // counted as revalidated), and the cache must stay consistent through
+  // the evictions that follow. `note` occurs in no rule body.
+  ChaseOptions chase;
+  chase.num_threads = 1;
+  ProgramSpec spec;
+  spec.program_text = kCoinProgram;
+  auto no_chase = []() -> Result<OutcomeSpace> {
+    ADD_FAILURE() << "the read at L2 chased";
+    return Status::Internal("chased");
   };
-  const std::string old_prefix = InferenceCache::KeyPrefix("p1", 0, "");
-  const std::string suffix = "opts";
-  // Every key below has this length, so every entry has the same charge.
-  auto new_key = [&](int program) {
-    return InferenceCache::KeyPrefix("p" + std::to_string(program), 1, "d1") +
-           suffix;
-  };
+
+  // The charge of the L2 entry, from the same steps run one after another.
   size_t charge = 0;
   {
+    ProgramRegistry dry;
+    auto info = dry.Register(spec);
+    ASSERT_TRUE(info.ok());
+    auto l1 = Patched(dry, info->id, "note(1).\n");
+    auto l2 = Patched(dry, info->id, "note(2).\n");
+    ASSERT_TRUE(l1 != nullptr && l2 != nullptr);
     InferenceCache one(1 << 20);
-    ASSERT_TRUE(one.LookupOrCompute(new_key(1), compute).ok());
+    ASSERT_TRUE(
+        one.Lookup(*l1, chase, "", [&] { return l1->engine.Infer(chase); })
+            .ok());
+    ASSERT_TRUE(one.Lookup(*l2, chase, "", no_chase).ok());
     charge = one.stats().bytes;
   }
+
+  ProgramRegistry registry;
+  auto info = registry.Register(spec);
+  ASSERT_TRUE(info.ok());
+  auto l1 = Patched(registry, info->id, "note(1).\n");
+  ASSERT_NE(l1, nullptr);
   InferenceCache cache(3 * charge + charge / 2);
-  ASSERT_TRUE(cache.LookupOrCompute(old_prefix + suffix, compute).ok());
 
   std::mutex mu;
   std::condition_variable cv;
   bool started = false;
   bool released = false;
-  std::thread query([&] {
-    auto space = cache.LookupOrCompute(new_key(1), [&]() {
+  std::thread reader([&] {
+    auto space = cache.Lookup(*l1, chase, "", [&]() {
       std::unique_lock<std::mutex> lock(mu);
       started = true;
       cv.notify_all();
       cv.wait(lock, [&] { return released; });
-      return compute();
+      return l1->engine.Infer(chase);
     });
     EXPECT_TRUE(space.ok());
   });
@@ -276,25 +302,52 @@ TEST(InferenceCache, ComputeRacingRevalidateIsChargedOnce) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return started; });
   }
-  EXPECT_EQ(cache.Revalidate("p1|", old_prefix,
-                             InferenceCache::KeyPrefix("p1", 1, "d1"),
-                             nullptr),
-            1u);
+  auto l2 = Patched(registry, info->id, "note(2).\n");
   {
     std::lock_guard<std::mutex> lock(mu);
     released = true;
   }
   cv.notify_all();
-  query.join();
+  reader.join();
+  ASSERT_NE(l2, nullptr);
+  ASSERT_EQ(cache.stats().misses, 1u);
+  ASSERT_EQ(cache.stats().entries, 1u);  // the late L1 space
 
+  auto space = cache.Lookup(*l2, chase, "", no_chase);
+  ASSERT_TRUE(space.ok());
   auto stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(cache.revalidated(), 1u);
+  EXPECT_EQ(stats.entries, 1u);  // L1's entry was taken, L2's stored
   EXPECT_EQ(stats.bytes, charge);
-  EXPECT_EQ(stats.inserts, 2u);  // the seed and the revalidated copy
+  EXPECT_EQ(stats.evictions, 0u);
 
-  // Four more entries into a three-entry budget.
+  auto fresh = GDatalog::Create(kCoinProgram, "note(1).\nnote(2).\n");
+  ASSERT_TRUE(fresh.ok());
+  auto fresh_space = fresh->Infer(chase);
+  ASSERT_TRUE(fresh_space.ok());
+  JsonExportOptions full;
+  full.include_outcomes = true;
+  full.include_models = true;
+  EXPECT_EQ(OutcomeSpaceToJson(**space, l2->engine.translated(),
+                               l2->engine.program().interner(), full),
+            OutcomeSpaceToJson(*fresh_space, fresh->translated(),
+                               fresh->program().interner(), full));
+
+  // Four more entries into a three-entry budget: copies of the L2 space
+  // under keys as long as L2's, so each is charged the same.
   for (int program = 2; program <= 5; ++program) {
-    ASSERT_TRUE(cache.LookupOrCompute(new_key(program), compute).ok());
+    std::string key = InferenceCache::Fingerprint(
+        "p" + std::to_string(program), l2->revision, l2->lineage_digest,
+        chase);
+    OutcomeSpace copy = **space;
+    ASSERT_EQ(key.size() + InferenceCache::ApproxBytes(copy), charge);
+    ASSERT_TRUE(cache
+                    .LookupOrCompute(key,
+                                     [&]() -> Result<OutcomeSpace> {
+                                       return copy;
+                                     })
+                    .ok());
     auto step = cache.stats();
     EXPECT_EQ(step.entries, std::min<size_t>(program, 3))
         << "after p" << program;
