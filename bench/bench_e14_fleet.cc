@@ -12,7 +12,8 @@
 // stay zero-coordination: every worker recomputes the same partition
 // from the same coordinates.
 // BM_PartialDecode times the coordinator's other fleet cost: decoding the
-// shard partials a 64-shard E1 clique-4 job streams back.
+// shard partials a 64-shard E1 clique-4 job streams back; BM_StreamingMerge
+// times folding them into one outcome space.
 // Two live-fleet scenarios ride along (printed before the benchmark
 // table): a SLEEPING STRAGGLER worker, where mid-job shard stealing must
 // beat the no-steal makespan by well over 1.5x, and a REPEATED JOB, where
@@ -23,6 +24,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -332,6 +334,42 @@ void BM_PartialDecode(benchmark::State& state) {
   state.counters["lines"] = static_cast<double>(lines.size());
 }
 BENCHMARK(BM_PartialDecode)->Unit(benchmark::kMillisecond);
+
+/// Coordinator-side merge cost: the same 64 clique-4 partials folded into
+/// a StreamingMerger in a fixed shuffled arrival order, then Finish (the
+/// canonical sort and the mass sums). Copying the partials and freeing the
+/// previous iteration's space are untimed.
+void BM_StreamingMerge(benchmark::State& state) {
+  constexpr size_t kMergeShards = 64;
+  auto engine = MustCreate(kNetworkProgram, Clique(4));
+  gdlog::ChaseOptions options;
+  auto plan = engine.chase().PlanShards(options, kMergeShards);
+  if (!plan.ok()) std::abort();
+  std::vector<gdlog::PartialSpace> partials;
+  for (size_t shard = 0; shard < plan->num_shards; ++shard) {
+    auto partial = engine.chase().ExploreShard(*plan, shard, options);
+    if (!partial.ok()) std::abort();
+    partials.push_back(std::move(*partial));
+  }
+  std::mt19937 rng(64);
+  std::shuffle(partials.begin(), partials.end(), rng);
+  gdlog::OutcomeSpace space;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<gdlog::PartialSpace> arriving = partials;
+    space = gdlog::OutcomeSpace();
+    state.ResumeTiming();
+    gdlog::StreamingMerger merger;
+    for (gdlog::PartialSpace& partial : arriving) {
+      merger.Add(std::move(partial));
+    }
+    space = merger.Finish(options.max_outcomes);
+    benchmark::DoNotOptimize(space.finite_mass);
+  }
+  state.counters["outcomes"] = static_cast<double>(space.outcomes.size());
+  state.counters["partials"] = static_cast<double>(partials.size());
+}
+BENCHMARK(BM_StreamingMerge)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

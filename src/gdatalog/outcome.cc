@@ -14,22 +14,6 @@ std::map<StableModelSet, Prob> OutcomeSpace::Events() const {
   return events;
 }
 
-Prob OutcomeSpace::ProbConsistent() const {
-  Prob mass = Prob::Zero();
-  for (const PossibleOutcome& outcome : outcomes) {
-    if (!outcome.models.empty()) mass = mass + outcome.prob;
-  }
-  return mass;
-}
-
-Prob OutcomeSpace::ProbInconsistent() const {
-  Prob mass = Prob::Zero();
-  for (const PossibleOutcome& outcome : outcomes) {
-    if (outcome.models.empty()) mass = mass + outcome.prob;
-  }
-  return mass;
-}
-
 OutcomeSpace::Bounds OutcomeSpace::Marginal(const GroundAtom& atom) const {
   Bounds bounds;
   for (const PossibleOutcome& outcome : outcomes) {
@@ -84,21 +68,33 @@ StableModel OutcomeSpace::StripAuxiliary(const StableModel& model,
 
 OutcomeSpace OutcomeSpace::WithAddedFacts(
     const std::vector<GroundAtom>& facts) const {
-  OutcomeSpace out = *this;
-  if (facts.empty()) return out;
+  if (facts.empty()) return *this;
+  // Everything but the models is copied as is; each model is built once,
+  // already patched.
+  OutcomeSpace out;
+  out.finite_mass = finite_mass;
+  out.complete = complete;
+  out.depth_truncated_paths = depth_truncated_paths;
+  out.support_truncation_mass = support_truncation_mass;
+  out.pruned_paths = pruned_paths;
+  out.prob_consistent_ = prob_consistent_;
+  out.prob_inconsistent_ = prob_inconsistent_;
   std::vector<GroundAtom> sorted = facts;
   std::sort(sorted.begin(), sorted.end());
-  for (PossibleOutcome& outcome : out.outcomes) {
-    StableModelSet patched;
+  out.outcomes.reserve(outcomes.size());
+  for (const PossibleOutcome& outcome : outcomes) {
+    PossibleOutcome& patched = out.outcomes.emplace_back();
+    patched.choices = outcome.choices;
+    patched.prob = outcome.prob;
+    patched.grounding = outcome.grounding;
     for (const StableModel& model : outcome.models) {
       StableModel merged;
       merged.reserve(model.size() + sorted.size());
       std::merge(model.begin(), model.end(), sorted.begin(), sorted.end(),
                  std::back_inserter(merged));
       merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-      patched.insert(std::move(merged));
+      patched.models.insert(std::move(merged));
     }
-    outcome.models = std::move(patched);
   }
   return out;
 }

@@ -32,11 +32,17 @@ struct PossibleOutcome {
 /// invalid) and (b) mass the exploration budget left unexplored;
 /// `complete == true` means budgets never bound, so the residual is exactly
 /// the Ω∞ mass (and zero when every chase path terminated).
+///
+/// Every space is built by StreamingMerger::Finish (shard.h), which fixes
+/// the summary masses — finite, P(consistent), P(inconsistent) — in one
+/// canonical-order pass; reads return the stored sums and never re-add
+/// the outcomes. Editing `outcomes` afterwards does not update them;
+/// WithAddedFacts carries them over because it never changes emptiness.
 class OutcomeSpace {
  public:
   std::vector<PossibleOutcome> outcomes;
 
-  /// Σ Pr over the enumerated finite outcomes.
+  /// Σ Pr over the enumerated finite outcomes, in canonical order.
   Prob finite_mass = Prob::Zero();
   /// 1 - finite_mass.
   Prob residual_mass() const { return Prob::One() - finite_mass; }
@@ -60,12 +66,14 @@ class OutcomeSpace {
   std::map<StableModelSet, Prob> Events() const;
 
   /// P(the program has at least one stable model): total mass of outcomes
-  /// with sms(Σ) ≠ ∅.
-  Prob ProbConsistent() const;
+  /// with sms(Σ) ≠ ∅. Fixed once the chase ends, so StreamingMerger::Finish
+  /// sums it in canonical order next to finite_mass and this only reads
+  /// the stored value (zero on a default-constructed space).
+  Prob ProbConsistent() const { return prob_consistent_; }
 
   /// P(sms(Σ) = ∅) over enumerated outcomes (the "no stable model" event;
-  /// e.g. malware domination in Example 3.10).
-  Prob ProbInconsistent() const;
+  /// e.g. malware domination in Example 3.10). Stored like ProbConsistent().
+  Prob ProbInconsistent() const { return prob_inconsistent_; }
 
   /// Credal marginal of a ground atom: an outcome with a non-empty model
   /// set counts toward `lower` when the atom is in *every* stable model,
@@ -93,8 +101,17 @@ class OutcomeSpace {
   /// model of every outcome gains exactly them, while choices,
   /// probabilities, masses, consistency and outcome order are untouched
   /// (splitting-set argument in ROADMAP "Incremental serving
-  /// architecture"). The serving layer's cache-revalidation patch.
+  /// architecture"). Adding facts to every model can neither empty a model
+  /// set nor fill an empty one, so the stored masses carry over unchanged.
+  /// The serving layer's cache-revalidation patch.
   OutcomeSpace WithAddedFacts(const std::vector<GroundAtom>& facts) const;
+
+ private:
+  // The only writer is the merge that builds every space.
+  friend class StreamingMerger;
+
+  Prob prob_consistent_ = Prob::Zero();
+  Prob prob_inconsistent_ = Prob::Zero();
 };
 
 }  // namespace gdlog

@@ -40,6 +40,28 @@ void SortCanonically(PartialSpace* partial) {
             TruncationBefore);
 }
 
+// Merges the sorted runs [0, ends[0]), [ends[0], ends[1]), ... of `items`
+// into one sorted sequence, pairing neighbours for log2(runs) rounds: each
+// item is compared O(log runs) times, where one global sort would compare
+// it O(log items) times.
+template <typename T, typename Less>
+void MergeSortedRuns(std::vector<T>* items, std::vector<size_t> ends,
+                     Less less) {
+  while (ends.size() > 1) {
+    std::vector<size_t> merged;
+    size_t begin = 0;
+    for (size_t i = 0; i < ends.size(); i += 2) {
+      if (i + 1 < ends.size()) {
+        std::inplace_merge(items->begin() + begin, items->begin() + ends[i],
+                           items->begin() + ends[i + 1], less);
+      }
+      merged.push_back(ends[std::min(i + 1, ends.size() - 1)]);
+      begin = merged.back();
+    }
+    ends = std::move(merged);
+  }
+}
+
 }  // namespace
 
 const char* ShardAssignmentName(ShardAssignment assignment) {
@@ -252,21 +274,17 @@ void StreamingMerger::Add(PartialSpace partial) {
                       TruncationBefore)) {
     SortCanonically(&partial);
   }
-  size_t outcome_mid = accum_.outcomes.size();
+  // Append as one more sorted run: Finish() merges the runs once, so a
+  // fold costs O(partial), not O(accumulator).
   accum_.outcomes.insert(accum_.outcomes.end(),
                          std::make_move_iterator(partial.outcomes.begin()),
                          std::make_move_iterator(partial.outcomes.end()));
-  std::inplace_merge(accum_.outcomes.begin(),
-                     accum_.outcomes.begin() + outcome_mid,
-                     accum_.outcomes.end(), OutcomeBefore);
-  size_t truncation_mid = accum_.truncations.size();
   accum_.truncations.insert(
       accum_.truncations.end(),
       std::make_move_iterator(partial.truncations.begin()),
       std::make_move_iterator(partial.truncations.end()));
-  std::inplace_merge(accum_.truncations.begin(),
-                     accum_.truncations.begin() + truncation_mid,
-                     accum_.truncations.end(), TruncationBefore);
+  outcome_run_ends_.push_back(accum_.outcomes.size());
+  truncation_run_ends_.push_back(accum_.truncations.size());
   accum_.depth_truncated_paths += partial.depth_truncated_paths;
   accum_.pruned_paths += partial.pruned_paths;
   accum_.budget_hit = accum_.budget_hit || partial.budget_hit;
@@ -274,6 +292,12 @@ void StreamingMerger::Add(PartialSpace partial) {
 }
 
 OutcomeSpace StreamingMerger::Finish(size_t max_outcomes) {
+  // Choice sets are unique across partials, so the merged sequence is the
+  // one canonical order whatever the fold order was.
+  MergeSortedRuns(&accum_.outcomes, std::move(outcome_run_ends_),
+                  OutcomeBefore);
+  MergeSortedRuns(&accum_.truncations, std::move(truncation_run_ends_),
+                  TruncationBefore);
   OutcomeSpace space;
   bool budget_hit = accum_.budget_hit;
   space.outcomes = std::move(accum_.outcomes);
@@ -289,9 +313,15 @@ OutcomeSpace StreamingMerger::Finish(size_t max_outcomes) {
   // Masses are summed only now, after every partial folded in, so the
   // addition order is the global canonical order — the same order the
   // buffered merge sums in, which is what makes the two byte-identical
-  // (double addition is order-sensitive).
+  // (double addition is order-sensitive). The space is immutable from here
+  // on, so its consistency masses are summed once, here, not per read.
   for (const PossibleOutcome& outcome : space.outcomes) {
     space.finite_mass = space.finite_mass + outcome.prob;
+    if (outcome.models.empty()) {
+      space.prob_inconsistent_ = space.prob_inconsistent_ + outcome.prob;
+    } else {
+      space.prob_consistent_ = space.prob_consistent_ + outcome.prob;
+    }
   }
   for (const auto& [choices, tail] : accum_.truncations) {
     (void)choices;
@@ -299,6 +329,8 @@ OutcomeSpace StreamingMerger::Finish(size_t max_outcomes) {
   }
   space.complete = !budget_hit;
   accum_ = PartialSpace();
+  outcome_run_ends_.clear();
+  truncation_run_ends_.clear();
   folded_ = 0;
   return space;
 }

@@ -142,11 +142,12 @@ OutcomeSpace MergePartialSpaces(std::vector<PartialSpace> partials,
 /// Streaming equivalent of MergePartialSpaces: folds per-shard partials
 /// into one canonical-order accumulator one at a time, in any arrival
 /// order, so a coordinator holds O(1) partials resident instead of all of
-/// them. Add() consumes its argument immediately (ordered merge into the
-/// accumulator); Finish() runs the exact buffered tail — truncate to
-/// `max_outcomes`, then sum masses in global canonical order. Because
-/// choice sets are unique across shards the merged sequence is the unique
-/// canonical order regardless of fold order, so the result is
+/// them. Add() consumes its argument immediately (appends it to the
+/// accumulator as one sorted run); Finish() runs the exact buffered tail —
+/// merge the runs once into canonical order, truncate to `max_outcomes`,
+/// then sum the finite, consistent and inconsistent masses in that order.
+/// Because choice sets are unique across shards the merged sequence is the
+/// unique canonical order regardless of fold order, so the result is
 /// byte-identical to `MergePartialSpaces` over the same partials.
 class StreamingMerger {
  public:
@@ -160,6 +161,9 @@ class StreamingMerger {
 
  private:
   PartialSpace accum_;
+  /// End offset of each folded partial's run in accum_'s two vectors.
+  std::vector<size_t> outcome_run_ends_;
+  std::vector<size_t> truncation_run_ends_;
   size_t folded_ = 0;
 };
 

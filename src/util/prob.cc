@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 namespace gdlog {
 
@@ -16,15 +17,31 @@ bool FitsInt64(Int128 v) {
   return v <= INT64_MAX && v >= INT64_MIN;
 }
 
-Int128 Gcd128(Int128 a, Int128 b) {
-  if (a < 0) a = -a;
-  if (b < 0) b = -b;
-  while (b != 0) {
-    Int128 t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
+using UInt128 = unsigned __int128;
+
+UInt128 Abs128(Int128 v) {
+  return v < 0 ? -static_cast<UInt128>(v) : static_cast<UInt128>(v);
+}
+
+int Ctz128(UInt128 v) {
+  uint64_t low = static_cast<uint64_t>(v);
+  return low != 0 ? __builtin_ctzll(low)
+                  : 64 + __builtin_ctzll(static_cast<uint64_t>(v >> 64));
+}
+
+// Binary (Stein) gcd: shifts and subtractions only, where Euclid would
+// call the out-of-line 128-bit division once per step.
+UInt128 Gcd128(UInt128 a, UInt128 b) {
+  if (a == 0) return b;
+  if (b == 0) return a;
+  int shift = Ctz128(a | b);
+  a >>= Ctz128(a);
+  do {
+    b >>= Ctz128(b);
+    if (a > b) std::swap(a, b);
+    b -= a;
+  } while (b != 0);
+  return a << shift;
 }
 
 }  // namespace
@@ -107,7 +124,7 @@ Rational Rational::operator+(const Rational& other) const {
   if (!exact_ || !other.exact_) return Inexact(ToDouble() + other.ToDouble());
   Int128 num = Int128(num_) * other.den_ + Int128(other.num_) * den_;
   Int128 den = Int128(den_) * other.den_;
-  Int128 g = Gcd128(num, den);
+  Int128 g = static_cast<Int128>(Gcd128(Abs128(num), UInt128(den)));
   if (g > 1) {
     num /= g;
     den /= g;
@@ -115,7 +132,11 @@ Rational Rational::operator+(const Rational& other) const {
   if (!FitsInt64(num) || !FitsInt64(den)) {
     return Inexact(ToDouble() + other.ToDouble());
   }
-  return Rational(static_cast<int64_t>(num), static_cast<int64_t>(den));
+  // Already in lowest terms with den > 0: skip the constructor's Normalize.
+  Rational sum;
+  sum.num_ = static_cast<int64_t>(num);
+  sum.den_ = static_cast<int64_t>(den);
+  return sum;
 }
 
 Rational Rational::operator-(const Rational& other) const {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <random>
 #include <string>
 #include <utility>
@@ -379,6 +380,144 @@ TEST(ShardMergeTest, StreamedMergeMatchesBufferedMergeUnderRandomOrder) {
                 OutcomeSpaceToJson(streamed, engine->translated(),
                                    engine->program().interner(), {}))
           << "round " << round;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Stored summary masses: the merge sums finite, consistent and inconsistent
+// mass once; every space must carry what a left-to-right recomputation
+// over its outcomes gives, bit for bit.
+// ---------------------------------------------------------------------------
+
+void ExpectSameBits(const Prob& stored, const Prob& recomputed,
+                    const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(stored.exact(), recomputed.exact());
+  EXPECT_EQ(stored.rational().numerator(), recomputed.rational().numerator());
+  EXPECT_EQ(stored.rational().denominator(),
+            recomputed.rational().denominator());
+  double a = stored.value();
+  double b = recomputed.value();
+  EXPECT_EQ(0, std::memcmp(&a, &b, sizeof(double)));
+}
+
+void ExpectStoredMassesMatchOutcomes(const OutcomeSpace& space,
+                                     const std::string& label) {
+  SCOPED_TRACE(label);
+  Prob finite = Prob::Zero();
+  Prob consistent = Prob::Zero();
+  Prob inconsistent = Prob::Zero();
+  for (const PossibleOutcome& outcome : space.outcomes) {
+    finite = finite + outcome.prob;
+    if (outcome.models.empty()) {
+      inconsistent = inconsistent + outcome.prob;
+    } else {
+      consistent = consistent + outcome.prob;
+    }
+  }
+  ExpectSameBits(space.finite_mass, finite, "finite_mass");
+  ExpectSameBits(space.ProbConsistent(), consistent, "ProbConsistent");
+  ExpectSameBits(space.ProbInconsistent(), inconsistent, "ProbInconsistent");
+}
+
+TEST(StoredMassTest, DefaultConstructedSpaceIsAllZero) {
+  OutcomeSpace space;
+  ExpectStoredMassesMatchOutcomes(space, "default");
+  ExpectSameBits(space.ProbConsistent(), Prob::Zero(), "consistent zero");
+  ExpectSameBits(space.ProbInconsistent(), Prob::Zero(), "inconsistent zero");
+}
+
+TEST(StoredMassTest, MatchesRecomputationAtEveryThreadAndShardCount) {
+  auto engine = GDatalog::Create(kNetworkProgram, Clique(3));
+  ASSERT_TRUE(engine.ok());
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    ChaseOptions options;
+    options.num_threads = threads;
+    auto single = engine->Infer(options);
+    ASSERT_TRUE(single.ok());
+    EXPECT_EQ(single->ProbConsistent(), Prob(Rational(19, 100)));
+    ExpectStoredMassesMatchOutcomes(
+        *single, "explore threads=" + std::to_string(threads));
+    for (size_t shards : {size_t{1}, size_t{4}}) {
+      auto merged = ShardedExplore(engine->chase(), options, shards);
+      ASSERT_TRUE(merged.ok());
+      ExpectStoredMassesMatchOutcomes(
+          *merged, "threads=" + std::to_string(threads) +
+                       " shards=" + std::to_string(shards));
+      ExpectSameBits(merged->ProbConsistent(), single->ProbConsistent(),
+                     "sharded vs single");
+    }
+  }
+}
+
+TEST(StoredMassTest, MatchesRecomputationUnderBindingMaxOutcomes) {
+  auto engine = GDatalog::Create(kNetworkProgram, Clique(3));
+  ASSERT_TRUE(engine.ok());
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    ChaseOptions options;
+    options.num_threads = 1;
+    options.max_outcomes = 3;
+    auto merged = ShardedExplore(engine->chase(), options, shards);
+    ASSERT_TRUE(merged.ok());
+    ASSERT_FALSE(merged->complete);
+    ExpectStoredMassesMatchOutcomes(*merged,
+                                    "shards=" + std::to_string(shards));
+  }
+}
+
+// Four flip<0.123456789> choices per path: each path mass has a 10^36
+// denominator, so every mass is an inexact double and the stored sums are
+// only right if they run in the canonical order.
+constexpr const char* kInexactProgram = R"(
+  coin(X, flip<0.123456789>[X]) :- item(X).
+  :- coin(1, 1), coin(2, 1).
+)";
+constexpr const char* kInexactDb = "item(1). item(2). item(3). item(4).";
+
+TEST(StoredMassTest, MatchesRecomputationWhenMassesGoInexact) {
+  auto engine = GDatalog::Create(kInexactProgram, kInexactDb);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    for (size_t shards : {size_t{1}, size_t{4}}) {
+      ChaseOptions options;
+      options.num_threads = threads;
+      auto merged = ShardedExplore(engine->chase(), options, shards);
+      ASSERT_TRUE(merged.ok());
+      ASSERT_EQ(merged->outcomes.size(), 16u);
+      ASSERT_FALSE(merged->ProbConsistent().exact());
+      ASSERT_FALSE(merged->ProbInconsistent().exact());
+      ExpectStoredMassesMatchOutcomes(
+          *merged, "threads=" + std::to_string(threads) +
+                       " shards=" + std::to_string(shards));
+    }
+  }
+}
+
+TEST(StoredMassTest, WithAddedFactsCarriesTheMassesOver) {
+  // `extra` occurs in no rule body, so appending extra(7) only adds it to
+  // every stable model.
+  auto engine = GDatalog::Create(kInexactProgram,
+                                 std::string(kInexactDb) + " extra(0).");
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ChaseOptions options;
+  options.num_threads = 1;
+  auto space = engine->Infer(options);
+  ASSERT_TRUE(space.ok());
+  auto fact = engine->LookupGroundAtom("extra(7)");
+  ASSERT_TRUE(fact.ok()) << fact.status().ToString();
+  OutcomeSpace patched = space->WithAddedFacts({*fact});
+  ExpectStoredMassesMatchOutcomes(patched, "patched");
+  ExpectSameBits(patched.ProbConsistent(), space->ProbConsistent(),
+                 "consistent carried");
+  ExpectSameBits(patched.ProbInconsistent(), space->ProbInconsistent(),
+                 "inconsistent carried");
+  ASSERT_EQ(patched.outcomes.size(), space->outcomes.size());
+  for (size_t i = 0; i < patched.outcomes.size(); ++i) {
+    ASSERT_EQ(patched.outcomes[i].models.size(),
+              space->outcomes[i].models.size());
+    for (const StableModel& model : patched.outcomes[i].models) {
+      EXPECT_TRUE(std::binary_search(model.begin(), model.end(), *fact));
     }
   }
 }

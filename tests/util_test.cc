@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <unordered_set>
@@ -293,6 +296,111 @@ TEST(Rational, OverflowFallsBackToInexact) {
   // close.
   EXPECT_FALSE(acc.exact());
   EXPECT_NEAR(acc.ToDouble(), std::pow(1e-9, 5), 1e-47);
+}
+
+// operator+ as it was before the binary-gcd rewrite (Euclid over signed
+// 128-bit values, then the normalizing constructor), with the private
+// members spelled through the public accessors.
+Rational EuclidSum(const Rational& a, const Rational& b) {
+  using Int128 = __int128;
+  if (!a.exact() || !b.exact()) {
+    return Rational::Approx(a.ToDouble() + b.ToDouble());
+  }
+  Int128 num = Int128(a.numerator()) * b.denominator() +
+               Int128(b.numerator()) * a.denominator();
+  Int128 den = Int128(a.denominator()) * b.denominator();
+  Int128 x = num < 0 ? -num : num;
+  Int128 y = den;
+  while (y != 0) {
+    Int128 t = x % y;
+    x = y;
+    y = t;
+  }
+  Int128 g = x;
+  if (g > 1) {
+    num /= g;
+    den /= g;
+  }
+  if (num > INT64_MAX || num < INT64_MIN || den > INT64_MAX ||
+      den < INT64_MIN) {
+    return Rational::Approx(a.ToDouble() + b.ToDouble());
+  }
+  return Rational(static_cast<int64_t>(num), static_cast<int64_t>(den));
+}
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameSum(const Rational& a, const Rational& b) {
+  Rational want = EuclidSum(a, b);
+  Rational got = a + b;
+  SCOPED_TRACE(a.ToString() + " + " + b.ToString());
+  ASSERT_EQ(got.exact(), want.exact());
+  ASSERT_EQ(got.numerator(), want.numerator());
+  ASSERT_EQ(got.denominator(), want.denominator());
+  ASSERT_EQ(DoubleBits(got.ToDouble()), DoubleBits(want.ToDouble()));
+}
+
+TEST(Rational, SumMatchesEuclidReferenceOnSeededPairs) {
+  std::mt19937_64 rng(0x5eed2718);
+  auto below = [&](uint64_t n) { return static_cast<int64_t>(rng() % n); };
+  auto signed_below = [&](uint64_t n) {
+    int64_t v = below(n);
+    return rng() % 2 ? -v : v;
+  };
+  auto pow10 = [](int k) {
+    int64_t p = 1;
+    while (k-- > 0) p *= 10;
+    return p;
+  };
+  // One operand of the given shape, with denominator `den` where the shape
+  // takes it from its partner.
+  auto operand = [&](int shape, int64_t den) -> Rational {
+    switch (shape) {
+      case 0: return Rational(0, 1 + below(1000));               // zero
+      case 1: return Rational(signed_below(1000), 1 + below(1000));
+      case 2: {  // a probability over a power of ten, like 0.1 or 0.25
+        int64_t d = pow10(static_cast<int>(below(10)));
+        return Rational(below(d + 1), d);
+      }
+      case 3: return Rational(signed_below(1u << 20), den);  // equal den
+      case 4: {  // divisible denominators
+        int64_t factor = 1 + below(1000);
+        return den <= INT64_MAX / factor
+                   ? Rational(signed_below(1u << 20), den * factor)
+                   : Rational(1, den);
+      }
+      case 5:  // near the 64-bit edge: sums overflow into inexact
+        return Rational(signed_below(INT64_MAX), 1 + below(INT64_MAX));
+      case 6: return Rational::Approx(std::ldexp(
+                  static_cast<double>(signed_below(1u << 30)), -30));
+      default: return Rational(INT64_MAX, 1 + below(3));
+    }
+  };
+  for (int i = 0; i < 50000 && !HasFailure(); ++i) {
+    Rational a = operand(static_cast<int>(below(8)), 1);
+    Rational b = operand(static_cast<int>(below(8)),
+                         a.exact() ? a.denominator() : 1);
+    ExpectSameSum(a, b);
+    ExpectSameSum(b, a);
+    ExpectSameSum(a, Rational(-a.numerator(), a.denominator()));
+  }
+  // Running sums of path masses, as the merge accumulates them: powers of
+  // flip<0.123456789> overflow 64 bits within a few terms.
+  Rational p = Rational::FromDecimal(0.123456789);
+  Rational q = Rational::One() - p;
+  Rational acc = Rational::Zero();
+  Rational term = Rational::One();
+  for (int k = 0; k < 64; ++k) {
+    Rational next = term * (k % 2 ? p : q);
+    ExpectSameSum(acc, next);
+    acc = acc + next;
+    term = next;
+  }
+  EXPECT_FALSE(acc.exact());
 }
 
 TEST(Rational, ToStringRendering) {
